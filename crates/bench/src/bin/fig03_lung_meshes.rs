@@ -43,11 +43,17 @@ fn main() {
     let mf: dgflow_fem::MatrixFree<f64, 8> =
         dgflow_fem::MatrixFree::new(&forest, &manifold, dgflow_fem::MfParams::dg(2));
     let vmin = mf
+        .metric
         .cell_volumes
         .iter()
         .cloned()
         .fold(f64::INFINITY, f64::min);
-    let vmax = mf.cell_volumes.iter().cloned().fold(0.0f64, f64::max);
+    let vmax = mf
+        .metric
+        .cell_volumes
+        .iter()
+        .cloned()
+        .fold(0.0f64, f64::max);
     println!();
     println!(
         "mesh validity g=3: all Jacobians positive; cell volumes {} .. {} m³",

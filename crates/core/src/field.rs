@@ -25,7 +25,7 @@ pub fn interpolate_velocity<T: Real, const L: usize>(
     let dpc = mf.dofs_per_cell;
     let mut v = vec![T::ZERO; DIM * mf.n_dofs()];
     for (bi, b) in mf.cell_batches.iter().enumerate() {
-        let g = &mf.cell_geometry[bi];
+        let g = &mf.metric.cell_geometry[bi];
         for l in 0..b.n_filled {
             let base = DIM * dpc * b.cells[l] as usize;
             for i in 0..dpc {
@@ -54,7 +54,7 @@ pub fn velocity_l2_error<T: Real, const L: usize>(
     let dpc = mf.dofs_per_cell;
     let mut err2 = 0.0;
     for (bi, b) in mf.cell_batches.iter().enumerate() {
-        let g = &mf.cell_geometry[bi];
+        let g = &mf.metric.cell_geometry[bi];
         for l in 0..b.n_filled {
             let base = DIM * dpc * b.cells[l] as usize;
             for i in 0..dpc {
@@ -99,7 +99,7 @@ pub fn kinetic_energy<T: Real, const L: usize>(mf: &MatrixFree<T, L>, v: &[T]) -
     let dpc = mf.dofs_per_cell;
     let mut ke = 0.0;
     for (bi, b) in mf.cell_batches.iter().enumerate() {
-        let g = &mf.cell_geometry[bi];
+        let g = &mf.metric.cell_geometry[bi];
         for l in 0..b.n_filled {
             let base = DIM * dpc * b.cells[l] as usize;
             for i in 0..dpc {

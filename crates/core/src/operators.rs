@@ -47,7 +47,7 @@ pub fn convective_term<T: Real, const L: usize>(
         ];
         for bi in range {
             let b = &mf.cell_batches[bi];
-            let g = &mf.cell_geometry[bi];
+            let g = &mf.metric.cell_geometry[bi];
             for (d, uqd) in uq.iter_mut().enumerate() {
                 // collocated: nodal values *are* the quadrature values, so
                 // gather straight into the batch buffer (no copy chain).
@@ -88,7 +88,7 @@ pub fn convective_term<T: Real, const L: usize>(
             for k in range {
                 let bi = color[k];
                 let b = &mf.face_batches[bi];
-                let g = &mf.face_geometry[bi];
+                let g = &mf.metric.face_geometry[bi];
                 let cat = b.category;
                 let desc_m = FaceSideDesc::minus(b);
                 for d in 0..DIM {
@@ -205,7 +205,7 @@ pub fn divergence<T: Real, const L: usize>(
         ];
         for bi in range {
             let b = &mf_u.cell_batches[bi];
-            let g = &mf_u.cell_geometry[bi];
+            let g = &mf_u.metric.cell_geometry[bi];
             for d in 0..DIM {
                 gather_cell(b, u, stride, d * dpc_u, dpc_u, &mut su.dofs);
                 evaluate_values(mf_u, &mut su);
@@ -234,7 +234,7 @@ pub fn divergence<T: Real, const L: usize>(
             for k in range {
                 let bi = color[k];
                 let b = &mf_u.face_batches[bi];
-                let g = &mf_u.face_geometry[bi];
+                let g = &mf_u.metric.face_geometry[bi];
                 let cat = b.category;
                 let desc_m = FaceSideDesc::minus(b);
                 let desc_p = FaceSideDesc::plus(b);
@@ -325,7 +325,7 @@ pub fn gradient<T: Real, const L: usize>(
         let mut pq = vec![Simd::<T, L>::zero(); nq3];
         for bi in range {
             let b = &mf_u.cell_batches[bi];
-            let g = &mf_u.cell_geometry[bi];
+            let g = &mf_u.metric.cell_geometry[bi];
             gather_cell(b, p, dpc_p, 0, dpc_p, &mut sq.dofs);
             evaluate_values(mf_p, &mut sq);
             pq.copy_from_slice(&sq.quad);
@@ -354,7 +354,7 @@ pub fn gradient<T: Real, const L: usize>(
             for k in range {
                 let bi = color[k];
                 let b = &mf_u.face_batches[bi];
-                let g = &mf_u.face_geometry[bi];
+                let g = &mf_u.metric.face_geometry[bi];
                 let cat = b.category;
                 let desc_m = FaceSideDesc::minus(b);
                 let desc_p = FaceSideDesc::plus(b);
@@ -494,7 +494,7 @@ impl<'a, T: Real, const L: usize> PenaltyOperator<'a, T, L> {
         let k1 = (mf.params.degree + 1) as f64;
         let a_div: Vec<T> = (0..mf.n_cells)
             .map(|c| {
-                let h = mf.cell_volumes[c].cbrt();
+                let h = mf.metric.cell_volumes[c].cbrt();
                 T::from_f64(zeta_div * u_scale[c].max(1e-12) * h / k1)
             })
             .collect();
@@ -535,7 +535,7 @@ impl<'a, T: Real, const L: usize> LinearOperator<T> for PenaltyOperator<'a, T, L
         let nq2 = mf.n_q() * mf.n_q();
         // mass part
         for (bi, b) in mf.cell_batches.iter().enumerate() {
-            let g = &mf.cell_geometry[bi];
+            let g = &mf.metric.cell_geometry[bi];
             for l in 0..b.n_filled {
                 let base = stride * b.cells[l] as usize;
                 for d in 0..DIM {
@@ -552,7 +552,7 @@ impl<'a, T: Real, const L: usize> LinearOperator<T> for PenaltyOperator<'a, T, L
             let mut divu = vec![Simd::<T, L>::zero(); nq3];
             for bi in range {
                 let b = &mf.cell_batches[bi];
-                let g = &mf.cell_geometry[bi];
+                let g = &mf.metric.cell_geometry[bi];
                 let mut adiv = Simd::<T, L>::zero();
                 for l in 0..b.n_filled {
                     adiv[l] = self.a_div[b.cells[l] as usize];
@@ -602,7 +602,7 @@ impl<'a, T: Real, const L: usize> LinearOperator<T> for PenaltyOperator<'a, T, L
                     if b.category.is_boundary {
                         continue;
                     }
-                    let g = &mf.face_geometry[bi];
+                    let g = &mf.metric.face_geometry[bi];
                     let desc_m = FaceSideDesc::minus(b);
                     let desc_p = FaceSideDesc::plus(b);
                     for d in 0..DIM {
@@ -676,7 +676,7 @@ impl<'a, T: Real, const L: usize> LinearOperator<T> for PenaltyOperator<'a, T, L
         let stride = ustride(mf);
         let mut diag = vec![T::ZERO; DIM * mf.n_dofs()];
         for (bi, b) in mf.cell_batches.iter().enumerate() {
-            let g = &mf.cell_geometry[bi];
+            let g = &mf.metric.cell_geometry[bi];
             for l in 0..b.n_filled {
                 let base = stride * b.cells[l] as usize;
                 for d in 0..DIM {
@@ -707,7 +707,7 @@ pub fn boundary_flow_rate<T: Real, const L: usize>(
         if !cat.is_boundary || cat.boundary_id != boundary_id {
             continue;
         }
-        let g = &mf.face_geometry[bi];
+        let g = &mf.metric.face_geometry[bi];
         let desc = FaceSideDesc::minus(b);
         for d in 0..DIM {
             gather_face_cells(&b.minus, b.n_filled, u, stride, d * dpc, dpc, &mut sm.dofs);

@@ -59,7 +59,7 @@ pub fn advect_term<const L: usize>(
         ];
         for bi in range {
             let b = &mf.cell_batches[bi];
-            let g = &mf.cell_geometry[bi];
+            let g = &mf.metric.cell_geometry[bi];
             gather_cell(b, c, dpc, 0, dpc, &mut s.dofs);
             evaluate_values(mf, &mut s);
             cq.copy_from_slice(&s.quad);
@@ -92,7 +92,7 @@ pub fn advect_term<const L: usize>(
             for k in range {
                 let bi = color[k];
                 let b = &mf.face_batches[bi];
-                let g = &mf.face_geometry[bi];
+                let g = &mf.metric.face_geometry[bi];
                 let cat = b.category;
                 let desc_m = FaceSideDesc::minus(b);
                 let desc_p = FaceSideDesc::plus(b);
@@ -273,7 +273,7 @@ impl<const L: usize> ScalarTransport<L> {
         let dpc = self.mf.dofs_per_cell;
         let mut total = 0.0;
         for (bi, b) in self.mf.cell_batches.iter().enumerate() {
-            let g = &self.mf.cell_geometry[bi];
+            let g = &self.mf.metric.cell_geometry[bi];
             for l in 0..b.n_filled {
                 let base = dpc * b.cells[l] as usize;
                 for i in 0..dpc {
@@ -388,11 +388,11 @@ mod tests {
         );
         // upstream saturated, downstream still clean
         let dpc = mf.dofs_per_cell;
-        let g0 = &mf.cell_geometry[0];
+        let g0 = &mf.metric.cell_geometry[0];
         let mut upstream = 0.0;
         let mut n_up = 0;
         for (bi, b) in mf.cell_batches.iter().enumerate() {
-            let g = &mf.cell_geometry[bi];
+            let g = &mf.metric.cell_geometry[bi];
             for l in 0..b.n_filled {
                 for i in 0..dpc {
                     let x = g.positions[i * 3][l];

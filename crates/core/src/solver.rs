@@ -216,7 +216,7 @@ impl<const L: usize> FlowSolver<L> {
             None
         };
         let inv_mass_scalar: Vec<f64> = mass_w.iter().map(|w| 1.0 / w).collect();
-        let h_cell: Vec<f64> = mf_u.cell_volumes.iter().map(|v| v.cbrt()).collect();
+        let h_cell: Vec<f64> = mf_u.metric.cell_volumes.iter().map(|v| v.cbrt()).collect();
         let n_u = n_velocity_dofs(&mf_u);
         let n_p = mf_p.n_dofs();
         let cfl = CflController::new(params.cfl, params.degree, params.dt_max);

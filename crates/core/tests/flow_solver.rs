@@ -47,6 +47,12 @@ fn pressure_driven_duct_reaches_poiseuille_steady_state() {
     bcs.set_pressure(1, dp);
     bcs.set_pressure(2, 0.0);
     let mut solver = FlowSolver::<L>::new(&forest, &manifold, params, bcs);
+    // velocity (k) and pressure (k-1) spaces share one set of metric terms
+    // (both integrate with k+1 points)
+    assert!(std::sync::Arc::ptr_eq(
+        &solver.mf_u.metric,
+        &solver.mf_p.metric
+    ));
     let mut last_q = 0.0;
     while solver.time < 1.0 {
         let info = solver.step();

@@ -8,10 +8,12 @@
 //! continuous) plus Nitsche boundary faces — reusing the DG kernels.
 
 use crate::batch::FaceBatch;
+use crate::diagonal::{face_coefficients, DiagonalScratch, DiagonalTables};
 use crate::evaluator::{
     apply_cell_laplace, evaluate_face, evaluate_gradients, evaluate_values, integrate,
     integrate_face, integrate_ref, laplace_cell_coeff, CellScratch, FaceScratch, FaceSideDesc,
 };
+use crate::geometry::{LaneScratch, Mapping};
 use crate::matrixfree::{tangential, MatrixFree, MfParams};
 use crate::operators::laplace::BoundaryCondition;
 use crate::util::SharedMut;
@@ -19,7 +21,8 @@ use dgflow_mesh::{Forest, Manifold};
 use dgflow_simd::{Real, Simd};
 use dgflow_solvers::LinearOperator;
 use dgflow_tensor::{LagrangeBasis1D, NodeSet};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Precomputed, batch-transposed constraint gather/scatter plan for one
@@ -68,76 +71,42 @@ pub struct CgSpace<T: Real, const L: usize> {
 impl<T: Real, const L: usize> CgSpace<T, L> {
     /// Build a degree-`degree` continuous space over the forest.
     pub fn new(forest: &Forest, manifold: &dyn Manifold, degree: usize) -> Self {
-        let params = MfParams {
-            degree,
-            n_q: degree + 1,
-            node_set: NodeSet::GaussLobatto,
-            ..MfParams::cg(degree)
-        };
-        let mf = Arc::new(MatrixFree::new(forest, manifold, params));
-        Self::from_mf(forest, mf)
+        let mapping = Mapping::build(forest, manifold, MfParams::cg(degree).mapping_degree);
+        Self::with_mapping(forest, Arc::new(mapping), degree)
+    }
+
+    /// Build on an existing geometry sampling of `forest` (whose degree
+    /// must be [`MfParams::cg`]'s mapping degree): contexts on the same
+    /// mapping share its metric terms.
+    pub fn with_mapping(forest: &Forest, mapping: Arc<Mapping>, degree: usize) -> Self {
+        let mf = MatrixFree::with_mapping(forest, mapping, MfParams::cg(degree));
+        Self::from_mf(forest, Arc::new(mf))
     }
 
     /// Build from an existing GaussLobatto matrix-free context.
     pub fn from_mf(forest: &Forest, mf: Arc<MatrixFree<T, L>>) -> Self {
+        let _sp = dgflow_trace::span("fem", "cg_space.new");
+        let (l2g, positions) = number_dofs(forest, &mf);
+        Self::from_numbering(mf, l2g, positions)
+    }
+
+    /// [`CgSpace::from_mf`] through the reference DoF identification
+    /// (pointwise mapping evaluation, SipHash grid probed in neighbor
+    /// order). Test oracle for the fast numbering, which must reproduce
+    /// its `l2g` exactly.
+    pub fn from_mf_reference(forest: &Forest, mf: Arc<MatrixFree<T, L>>) -> Self {
+        let (l2g, positions) = number_dofs_reference(forest, &mf);
+        Self::from_numbering(mf, l2g, positions)
+    }
+
+    /// Constraints, colors and gather plans of a numbered space.
+    fn from_numbering(mf: Arc<MatrixFree<T, L>>, l2g: Vec<u32>, positions: Vec<[f64; 3]>) -> Self {
         assert_eq!(mf.params.node_set, NodeSet::GaussLobatto);
         let degree = mf.params.degree;
         let n1 = degree + 1;
         let dpc = mf.dofs_per_cell;
         let nodes = NodeSet::GaussLobatto.nodes(degree);
         let n_cells = mf.n_cells;
-
-        // ---- geometric dof identification --------------------------------
-        let diam = forest.coarse.diameter().max(1e-30);
-        let eps = 1e-8 * diam;
-        let mut grid: HashMap<(i64, i64, i64), u32> = HashMap::new();
-        let mut positions: Vec<[f64; 3]> = Vec::new();
-        let mut l2g = vec![0u32; n_cells * dpc];
-        let key_of = |p: [f64; 3]| -> (i64, i64, i64) {
-            (
-                (p[0] / eps).round() as i64,
-                (p[1] / eps).round() as i64,
-                (p[2] / eps).round() as i64,
-            )
-        };
-        for c in 0..n_cells {
-            for i2 in 0..n1 {
-                for i1 in 0..n1 {
-                    for i0 in 0..n1 {
-                        let local = i0 + n1 * (i1 + n1 * i2);
-                        let p = mf.mapping.position(c, [nodes[i0], nodes[i1], nodes[i2]]);
-                        let k = key_of(p);
-                        let mut found = None;
-                        'search: for dx in -1i64..=1 {
-                            for dy in -1i64..=1 {
-                                for dz in -1i64..=1 {
-                                    if let Some(&d) = grid.get(&(k.0 + dx, k.1 + dy, k.2 + dz)) {
-                                        let q = positions[d as usize];
-                                        let dist2 = (q[0] - p[0]).powi(2)
-                                            + (q[1] - p[1]).powi(2)
-                                            + (q[2] - p[2]).powi(2);
-                                        if dist2 < (2.0 * eps) * (2.0 * eps) {
-                                            found = Some(d);
-                                            break 'search;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        let dof = match found {
-                            Some(d) => d,
-                            None => {
-                                let d = positions.len() as u32;
-                                positions.push(p);
-                                grid.insert(k, d);
-                                d
-                            }
-                        };
-                        l2g[c * dpc + local] = dof;
-                    }
-                }
-            }
-        }
         let n_dofs = positions.len();
 
         // ---- hanging-node constraints ------------------------------------
@@ -453,6 +422,202 @@ impl<T: Real, const L: usize> CgSpace<T, L> {
     }
 }
 
+/// Tolerance of the geometric DoF identification: positions closer than
+/// `2 eps` merge, with `eps = 1e-8` of the coarse mesh's diameter.
+fn identification_eps(forest: &Forest) -> f64 {
+    1e-8 * forest.coarse.diameter().max(1e-30)
+}
+
+/// Integer grid cell of `p` at spacing `eps`.
+fn grid_key(p: [f64; 3], eps: f64) -> (i64, i64, i64) {
+    (
+        (p[0] / eps).round() as i64,
+        (p[1] / eps).round() as i64,
+        (p[2] / eps).round() as i64,
+    )
+}
+
+/// The 4×4×4 block of grid keys holding `k`.
+fn block_of(k: (i64, i64, i64)) -> (i64, i64, i64) {
+    (k.0 >> 2, k.1 >> 2, k.2 >> 2)
+}
+
+/// True when a block overlapping the 3×3×3 key neighborhood of `k` holds a
+/// DoF.
+fn near_occupied(
+    blocks: &HashSet<(i64, i64, i64), BuildHasherDefault<GridHasher>>,
+    k: (i64, i64, i64),
+) -> bool {
+    let (lo, hi) = (
+        block_of((k.0 - 1, k.1 - 1, k.2 - 1)),
+        block_of((k.0 + 1, k.1 + 1, k.2 + 1)),
+    );
+    (lo.0..=hi.0).any(|x| (lo.1..=hi.1).any(|y| (lo.2..=hi.2).any(|z| blocks.contains(&(x, y, z)))))
+}
+
+/// Multiply–rotate hasher for the integer grid keys of the DoF
+/// identification: SipHash's flooding resistance buys nothing on keys
+/// derived from node coordinates.
+#[derive(Default)]
+struct GridHasher(u64);
+
+impl Hasher for GridHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_i64(&mut self, v: i64) {
+        self.write_u64(v as u64);
+    }
+}
+
+/// Geometric DoF identification: Gauss–Lobatto nodes at the same position
+/// (within `2 eps`) share one global DoF, numbered in order of first
+/// appearance (cell-major, lexicographic nodes). Node positions come from
+/// per-node 1-D mapping-basis tables, a cell batch at a time, bit-for-bit
+/// equal to the pointwise [`Mapping::position`]; each lookup probes the
+/// node's own grid bucket first and its 26 neighbors only when a DoF lies
+/// near them. The numbering equals [`number_dofs_reference`]'s as long as
+/// no two DoFs lie within `4 eps` of each other (a node can then match
+/// at most one of them, so the probe order cannot matter).
+fn number_dofs<T: Real, const L: usize>(
+    forest: &Forest,
+    mf: &MatrixFree<T, L>,
+) -> (Vec<u32>, Vec<[f64; 3]>) {
+    let n1 = mf.params.degree + 1;
+    let dpc = mf.dofs_per_cell;
+    let nodes = NodeSet::GaussLobatto.nodes(mf.params.degree);
+    let node_values: Vec<Vec<f64>> = nodes.iter().map(|&x| mf.mapping.basis_values(x)).collect();
+    let eps = identification_eps(forest);
+    let mut grid: HashMap<(i64, i64, i64), u32, BuildHasherDefault<GridHasher>> =
+        HashMap::default();
+    // occupied 4×4×4 blocks of grid keys: a node whose own bucket is empty
+    // probes its 26 neighbors only when one of their blocks holds a DoF
+    let mut blocks: HashSet<(i64, i64, i64), BuildHasherDefault<GridHasher>> = HashSet::default();
+    let mut positions: Vec<[f64; 3]> = Vec::new();
+    let mut l2g = vec![0u32; mf.n_cells * dpc];
+    let matches = |d: u32, p: [f64; 3], positions: &[[f64; 3]]| {
+        let q = positions[d as usize];
+        let dist2 = (q[0] - p[0]).powi(2) + (q[1] - p[1]).powi(2) + (q[2] - p[2]).powi(2);
+        dist2 < (2.0 * eps) * (2.0 * eps)
+    };
+    // node positions of one cell batch at a time, then identification in
+    // cell-major, lexicographic node order
+    let mut lanes = LaneScratch::<L>::new(&mf.mapping);
+    let mut batch_pos = vec![[[0.0; L]; 3]; dpc];
+    for b in &mf.cell_batches {
+        lanes.load(&mf.mapping, &b.cells, b.n_filled);
+        for i2 in 0..n1 {
+            for i1 in 0..n1 {
+                for i0 in 0..n1 {
+                    let v = [&node_values[i0][..], &node_values[i1], &node_values[i2]];
+                    batch_pos[i0 + n1 * (i1 + n1 * i2)] = lanes.position(v);
+                }
+            }
+        }
+        for l in 0..b.n_filled {
+            let c = b.cells[l] as usize;
+            for (local, pos) in batch_pos.iter().enumerate() {
+                let p = [pos[0][l], pos[1][l], pos[2][l]];
+                let k = grid_key(p, eps);
+                let mut found = grid.get(&k).copied().filter(|&d| matches(d, p, &positions));
+                // neighbor buckets only when a DoF lies in their block
+                if found.is_none() && near_occupied(&blocks, k) {
+                    'search: for dx in -1i64..=1 {
+                        for dy in -1i64..=1 {
+                            for dz in -1i64..=1 {
+                                if (dx, dy, dz) == (0, 0, 0) {
+                                    continue;
+                                }
+                                if let Some(&d) = grid.get(&(k.0 + dx, k.1 + dy, k.2 + dz)) {
+                                    if matches(d, p, &positions) {
+                                        found = Some(d);
+                                        break 'search;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+                l2g[c * dpc + local] = found.unwrap_or_else(|| {
+                    let d = positions.len() as u32;
+                    positions.push(p);
+                    grid.insert(k, d);
+                    blocks.insert(block_of(k));
+                    d
+                });
+            }
+        }
+    }
+    (l2g, positions)
+}
+
+/// Reference DoF identification: pointwise [`Mapping::position`], SipHash
+/// grid, neighbors probed in lexicographic offset order. Oracle for
+/// [`number_dofs`].
+fn number_dofs_reference<T: Real, const L: usize>(
+    forest: &Forest,
+    mf: &MatrixFree<T, L>,
+) -> (Vec<u32>, Vec<[f64; 3]>) {
+    let n1 = mf.params.degree + 1;
+    let dpc = mf.dofs_per_cell;
+    let nodes = NodeSet::GaussLobatto.nodes(mf.params.degree);
+    let n_cells = mf.n_cells;
+    let eps = identification_eps(forest);
+    let mut grid: HashMap<(i64, i64, i64), u32> = HashMap::new();
+    let mut positions: Vec<[f64; 3]> = Vec::new();
+    let mut l2g = vec![0u32; n_cells * dpc];
+    for c in 0..n_cells {
+        for i2 in 0..n1 {
+            for i1 in 0..n1 {
+                for i0 in 0..n1 {
+                    let local = i0 + n1 * (i1 + n1 * i2);
+                    let p = mf.mapping.position(c, [nodes[i0], nodes[i1], nodes[i2]]);
+                    let k = grid_key(p, eps);
+                    let mut found = None;
+                    'search: for dx in -1i64..=1 {
+                        for dy in -1i64..=1 {
+                            for dz in -1i64..=1 {
+                                if let Some(&d) = grid.get(&(k.0 + dx, k.1 + dy, k.2 + dz)) {
+                                    let q = positions[d as usize];
+                                    let dist2 = (q[0] - p[0]).powi(2)
+                                        + (q[1] - p[1]).powi(2)
+                                        + (q[2] - p[2]).powi(2);
+                                    if dist2 < (2.0 * eps) * (2.0 * eps) {
+                                        found = Some(d);
+                                        break 'search;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    let dof = match found {
+                        Some(d) => d,
+                        None => {
+                            let d = positions.len() as u32;
+                            positions.push(p);
+                            grid.insert(k, d);
+                            d
+                        }
+                    };
+                    l2g[c * dpc + local] = dof;
+                }
+            }
+        }
+    }
+    (l2g, positions)
+}
+
 /// SIPG/Nitsche Laplacian on a continuous space: cell terms + boundary
 /// faces only (interior jumps vanish).
 pub struct CgLaplaceOperator<T: Real, const L: usize> {
@@ -553,7 +718,7 @@ impl<T: Real, const L: usize> CgLaplaceOperator<T, L> {
                 for k in range {
                     let bi = color[k];
                     let b = &mf.cell_batches[bi];
-                    let g = &mf.cell_geometry[bi];
+                    let g = &mf.metric.cell_geometry[bi];
                     self.gather_batch_ref(b, src, &mut s.dofs);
                     evaluate_values(mf, &mut s);
                     evaluate_gradients(mf, &mut s);
@@ -583,7 +748,8 @@ impl<T: Real, const L: usize> CgLaplaceOperator<T, L> {
                 continue;
             }
             let fb: &FaceBatch<L> = b;
-            let g = &mf.face_geometry[bi];
+            let g = &mf.metric.face_geometry[bi];
+            let sigma = mf.face_sigma[bi];
             let dpc = mf.dofs_per_cell;
             let mut local = vec![T::ZERO; dpc];
             for v in sm.dofs.iter_mut() {
@@ -606,7 +772,7 @@ impl<T: Real, const L: usize> CgLaplaceOperator<T, L> {
                     + sm.grad[1][q] * g.g_minus[q * 3 + 1]
                     + sm.grad[2][q] * g.g_minus[q * 3 + 2];
                 let jxw = g.jxw[q];
-                let vflux = (u * g.sigma * T::from_f64(2.0) - dn) * jxw;
+                let vflux = (u * sigma * T::from_f64(2.0) - dn) * jxw;
                 let gsc = -(u * jxw);
                 sm.val[q] = vflux;
                 for d in 0..3 {
@@ -644,7 +810,8 @@ impl<T: Real, const L: usize> CgLaplaceOperator<T, L> {
             if !cat.is_boundary || self.bc_of(cat.boundary_id) != BoundaryCondition::Dirichlet {
                 continue;
             }
-            let g = &mf.face_geometry[bi];
+            let g = &mf.metric.face_geometry[bi];
+            let sigma = mf.face_sigma[bi];
             for q in 0..nq2 {
                 let mut gv = Simd::<T, L>::zero();
                 for l in 0..b.n_filled {
@@ -656,7 +823,7 @@ impl<T: Real, const L: usize> CgLaplaceOperator<T, L> {
                     gv[l] = T::from_f64(gfun(x));
                 }
                 let jxw = g.jxw[q];
-                sm.val[q] = gv * g.sigma * T::from_f64(2.0) * jxw;
+                sm.val[q] = gv * sigma * T::from_f64(2.0) * jxw;
                 for d in 0..3 {
                     sm.grad[d][q] = -(g.g_minus[q * 3 + d] * gv * jxw);
                 }
@@ -680,8 +847,71 @@ impl<T: Real, const L: usize> CgLaplaceOperator<T, L> {
     }
 
     /// Approximate diagonal (exact on cell blocks, constraint-distributed
-    /// with squared weights — the standard matrix-free approximation).
+    /// with squared weights — the standard matrix-free approximation), by
+    /// sum factorization of the cell and boundary-face blocks (see
+    /// [`crate::diagonal`]).
     pub fn compute_diagonal(&self) -> Vec<T> {
+        let _sp = dgflow_trace::span("fem", "cg_laplace.diagonal");
+        let space = &*self.space;
+        let mf = &*space.mf;
+        let dpc = mf.dofs_per_cell;
+        let nq2 = mf.n_q() * mf.n_q();
+        let tables = DiagonalTables::new(mf);
+        let mut s = DiagonalScratch::new(&tables);
+        let mut local = vec![Simd::<f64, L>::zero(); dpc];
+        let mut diag = vec![0.0f64; space.n_dofs];
+        let mut distribute = |cells: &[u32; L], n_filled: usize, local: &[Simd<f64, L>]| {
+            for (l, &cell) in cells.iter().enumerate().take(n_filled) {
+                let cell = cell as usize;
+                for (i, v) in local.iter().enumerate() {
+                    let lo = space.row_ptr[cell * dpc + i] as usize;
+                    let hi = space.row_ptr[cell * dpc + i + 1] as usize;
+                    for &(d, w) in &space.entries[lo..hi] {
+                        let w = w.to_f64();
+                        diag[d as usize] += w * w * v[l];
+                    }
+                }
+            }
+        };
+        for (bi, b) in mf.cell_batches.iter().enumerate() {
+            tables.cell(&self.coeff[bi], &mut s, &mut local);
+            distribute(&b.cells, b.n_filled, &local);
+        }
+        // boundary Nitsche contributions
+        let mut c_val = vec![Simd::<f64, L>::zero(); nq2];
+        let mut c_grad = [(); 3].map(|_| vec![Simd::<f64, L>::zero(); nq2]);
+        for (bi, b) in mf.face_batches.iter().enumerate() {
+            let cat = b.category;
+            if !cat.is_boundary || self.bc_of(cat.boundary_id) == BoundaryCondition::Neumann {
+                continue;
+            }
+            let g = &mf.metric.face_geometry[bi];
+            face_coefficients(
+                mf.face_sigma[bi],
+                &g.jxw,
+                &g.g_minus,
+                2.0,
+                1.0,
+                &mut c_val,
+                &mut c_grad,
+            );
+            local.iter_mut().for_each(|v| *v = Simd::zero());
+            tables.face_side(FaceSideDesc::minus(b), &c_val, &c_grad, &mut s, &mut local);
+            distribute(&b.minus, b.n_filled, &local);
+        }
+        for (i, &c) in space.constrained.iter().enumerate() {
+            if c || diag[i] == 0.0 {
+                diag[i] = 1.0;
+            }
+        }
+        diag.into_iter().map(T::from_f64).collect()
+    }
+
+    /// Reference diagonal: apply the local cell and boundary-face kernels
+    /// to every unit vector, then distribute with squared constraint
+    /// weights. Test oracle for the sum-factorized
+    /// [`CgLaplaceOperator::compute_diagonal`].
+    pub fn compute_diagonal_reference(&self) -> Vec<T> {
         let space = &*self.space;
         let mf = &*space.mf;
         let dpc = mf.dofs_per_cell;
@@ -689,7 +919,7 @@ impl<T: Real, const L: usize> CgLaplaceOperator<T, L> {
         let mut diag = vec![T::ZERO; space.n_dofs];
         let mut s = CellScratch::<T, L>::new(mf);
         for (bi, b) in mf.cell_batches.iter().enumerate() {
-            let g = &mf.cell_geometry[bi];
+            let g = &mf.metric.cell_geometry[bi];
             for i in 0..dpc {
                 for v in s.dofs.iter_mut() {
                     *v = Simd::zero();
@@ -729,7 +959,8 @@ impl<T: Real, const L: usize> CgLaplaceOperator<T, L> {
             if !cat.is_boundary || self.bc_of(cat.boundary_id) == BoundaryCondition::Neumann {
                 continue;
             }
-            let g = &mf.face_geometry[bi];
+            let g = &mf.metric.face_geometry[bi];
+            let sigma = mf.face_sigma[bi];
             let desc = FaceSideDesc::minus(b);
             for i in 0..dpc {
                 for v in sf.dofs.iter_mut() {
@@ -743,7 +974,7 @@ impl<T: Real, const L: usize> CgLaplaceOperator<T, L> {
                         + sf.grad[1][q] * g.g_minus[q * 3 + 1]
                         + sf.grad[2][q] * g.g_minus[q * 3 + 2];
                     let jxw = g.jxw[q];
-                    let vflux = (u * g.sigma * T::from_f64(2.0) - dn) * jxw;
+                    let vflux = (u * sigma * T::from_f64(2.0) - dn) * jxw;
                     let gsc = -(u * jxw);
                     sf.val[q] = vflux;
                     for d in 0..3 {
@@ -803,7 +1034,7 @@ impl<T: Real, const L: usize> CgLaplaceOperator<T, L> {
         let mut s = CellScratch::<T, L>::new(mf);
         let mut column = vec![T::ZERO; dpc];
         for (bi, b) in mf.cell_batches.iter().enumerate() {
-            let g = &mf.cell_geometry[bi];
+            let g = &mf.metric.cell_geometry[bi];
             for j in 0..dpc {
                 for v in s.dofs.iter_mut() {
                     *v = Simd::zero();
@@ -840,7 +1071,8 @@ impl<T: Real, const L: usize> CgLaplaceOperator<T, L> {
             if !cat.is_boundary || self.bc_of(cat.boundary_id) == BoundaryCondition::Neumann {
                 continue;
             }
-            let g = &mf.face_geometry[bi];
+            let g = &mf.metric.face_geometry[bi];
+            let sigma = mf.face_sigma[bi];
             let desc = FaceSideDesc::minus(b);
             for j in 0..dpc {
                 for v in sf.dofs.iter_mut() {
@@ -854,7 +1086,7 @@ impl<T: Real, const L: usize> CgLaplaceOperator<T, L> {
                         + sf.grad[1][q] * g.g_minus[q * 3 + 1]
                         + sf.grad[2][q] * g.g_minus[q * 3 + 2];
                     let jxw = g.jxw[q];
-                    let vflux = (u * g.sigma * T::from_f64(2.0) - dn) * jxw;
+                    let vflux = (u * sigma * T::from_f64(2.0) - dn) * jxw;
                     let gsc = -(u * jxw);
                     sf.val[q] = vflux;
                     for d in 0..3 {
@@ -924,7 +1156,8 @@ impl<T: Real, const L: usize> LinearOperator<T> for CgLaplaceOperator<T, L> {
                 continue;
             }
             let fb: &FaceBatch<L> = b;
-            let g = &mf.face_geometry[bi];
+            let g = &mf.metric.face_geometry[bi];
+            let sigma = mf.face_sigma[bi];
             let plan = space.face_plans[bi]
                 .as_ref()
                 .expect("boundary faces have plans");
@@ -937,7 +1170,7 @@ impl<T: Real, const L: usize> LinearOperator<T> for CgLaplaceOperator<T, L> {
                     + sm.grad[1][q] * g.g_minus[q * 3 + 1]
                     + sm.grad[2][q] * g.g_minus[q * 3 + 2];
                 let jxw = g.jxw[q];
-                let vflux = (u * g.sigma * T::from_f64(2.0) - dn) * jxw;
+                let vflux = (u * sigma * T::from_f64(2.0) - dn) * jxw;
                 let gsc = -(u * jxw);
                 sm.val[q] = vflux;
                 for d in 0..3 {

@@ -328,7 +328,7 @@ fn cell_sweep<T: Real, const L: usize>(
     for &bi in batches {
         let bi = bi as usize;
         let b = &mf.cell_batches[bi];
-        let g = &mf.cell_geometry[bi];
+        let g = &mf.metric.cell_geometry[bi];
         gather_local(part, &b.cells, b.n_filled, src, dpc, &mut s.dofs);
         evaluate_values(mf, s);
         evaluate_gradients(mf, s);
@@ -377,7 +377,8 @@ fn face_sweep<T: Real, const L: usize>(
         let b = &mf.face_batches[bi];
         let mine = |l: usize| owner_ok(b.minus[l]);
         let fb: &FaceBatch<L> = b;
-        let g = &mf.face_geometry[bi];
+        let g = &mf.metric.face_geometry[bi];
+        let sigma = mf.face_sigma[bi];
         let cat = fb.category;
         if cat.is_boundary && bc_of(cat.boundary_id) == BoundaryCondition::Neumann {
             continue;
@@ -392,7 +393,7 @@ fn face_sweep<T: Real, const L: usize>(
                     + sm.grad[1][q] * g.g_minus[q * 3 + 1]
                     + sm.grad[2][q] * g.g_minus[q * 3 + 2];
                 let jxw = g.jxw[q];
-                let vflux = (u * g.sigma * T::from_f64(2.0) - dn) * jxw;
+                let vflux = (u * sigma * T::from_f64(2.0) - dn) * jxw;
                 let gsc = -(u * jxw);
                 sm.val[q] = vflux;
                 for d in 0..3 {
@@ -418,7 +419,7 @@ fn face_sweep<T: Real, const L: usize>(
                 + sp.grad[2][q] * g.g_plus[q * 3 + 2];
             let jxw = g.jxw[q];
             let jump = um - up;
-            let vflux = (jump * g.sigma - (dnm + dnp) * half) * jxw;
+            let vflux = (jump * sigma - (dnm + dnp) * half) * jxw;
             let gsc = -(jump * half * jxw);
             sm.val[q] = vflux;
             sp.val[q] = -vflux;

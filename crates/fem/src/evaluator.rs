@@ -276,7 +276,8 @@ pub fn integrate_ref<T: Real, const L: usize>(
 /// Jacobian plus JxW (the bandwidth trim that narrows the SP/DP gap).
 pub fn laplace_cell_coeff<T: Real, const L: usize>(mf: &MatrixFree<T, L>) -> Vec<Vec<Simd<T, L>>> {
     let nq3 = mf.n_q().pow(3);
-    mf.cell_geometry
+    mf.metric
+        .cell_geometry
         .iter()
         .map(|g| {
             let mut c = vec![Simd::<T, L>::zero(); 6 * nq3];

@@ -3,6 +3,7 @@
 
 pub mod batch;
 pub mod cg_space;
+pub mod diagonal;
 pub mod distributed;
 pub mod evaluator;
 pub mod geometry;

@@ -13,7 +13,7 @@ pub fn interpolate<T: Real, const L: usize>(
     let dpc = mf.dofs_per_cell;
     let mut v = vec![T::ZERO; mf.n_dofs()];
     for (bi, b) in mf.cell_batches.iter().enumerate() {
-        let g = &mf.cell_geometry[bi];
+        let g = &mf.metric.cell_geometry[bi];
         for l in 0..b.n_filled {
             let base = dpc * b.cells[l] as usize;
             for i in 0..dpc {
@@ -39,7 +39,7 @@ pub fn integrate_rhs<T: Real, const L: usize>(
     let dpc = mf.dofs_per_cell;
     let mut v = vec![T::ZERO; mf.n_dofs()];
     for (bi, b) in mf.cell_batches.iter().enumerate() {
-        let g = &mf.cell_geometry[bi];
+        let g = &mf.metric.cell_geometry[bi];
         for l in 0..b.n_filled {
             let base = dpc * b.cells[l] as usize;
             for i in 0..dpc {
@@ -94,7 +94,7 @@ pub fn l2_error<T: Real, const L: usize>(
     let dpc = mf.dofs_per_cell;
     let mut err2 = 0.0;
     for (bi, b) in mf.cell_batches.iter().enumerate() {
-        let g = &mf.cell_geometry[bi];
+        let g = &mf.metric.cell_geometry[bi];
         for l in 0..b.n_filled {
             let base = dpc * b.cells[l] as usize;
             for i in 0..dpc {

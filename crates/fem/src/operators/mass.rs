@@ -32,7 +32,7 @@ impl<'a, T: Real, const L: usize> MassOperator<'a, T, L> {
         let dpc = mf.dofs_per_cell;
         let mut w = vec![T::ZERO; mf.n_dofs()];
         for (bi, b) in mf.cell_batches.iter().enumerate() {
-            let g = &mf.cell_geometry[bi];
+            let g = &mf.metric.cell_geometry[bi];
             for l in 0..b.n_filled {
                 let base = dpc * b.cells[l] as usize;
                 for i in 0..dpc {
@@ -52,7 +52,7 @@ impl<'a, T: Real, const L: usize> LinearOperator<T> for MassOperator<'a, T, L> {
         let mf = self.mf;
         let dpc = mf.dofs_per_cell;
         for (bi, b) in mf.cell_batches.iter().enumerate() {
-            let g = &mf.cell_geometry[bi];
+            let g = &mf.metric.cell_geometry[bi];
             for l in 0..b.n_filled {
                 let base = dpc * b.cells[l] as usize;
                 for i in 0..dpc {

@@ -154,12 +154,12 @@ fn solve_cg_poisson(forest: &Forest, degree: usize) -> f64 {
     let dpc = space.mf.dofs_per_cell;
     let n1 = degree + 1;
     for (bi, b) in space.mf.cell_batches.iter().enumerate() {
-        let _ = &space.mf.cell_geometry[bi];
+        let _ = &space.mf.metric.cell_geometry[bi];
         for l in 0..b.n_filled {
             let cell = b.cells[l] as usize;
             let (_, h) = {
                 // recover element size from volume (affine cube meshes)
-                let v = space.mf.cell_volumes[cell];
+                let v = space.mf.metric.cell_volumes[cell];
                 (v, v.cbrt())
             };
             for i2 in 0..n1 {

@@ -11,7 +11,7 @@
 //! paper's bifurcation geometry.
 
 use dgflow_fem::cg_space::{CgLaplaceOperator, CgSpace};
-use dgflow_fem::{LaplaceOperator, MatrixFree, MfParams};
+use dgflow_fem::{BoundaryCondition, LaplaceOperator, MatrixFree, MfParams};
 use dgflow_lung::{bifurcation_tree, mesh_airway_tree, MeshParams};
 use dgflow_mesh::{CoarseMesh, Forest, TrilinearManifold};
 use dgflow_simd::Real;
@@ -201,5 +201,164 @@ fn cg_bifurcation_sp_matches_reference() {
     let f = bifurcation_forest();
     for k in 1..=6 {
         check_cg::<f32, 16>(&f, k, ULPS, "bifurcation");
+    }
+}
+
+// ---- sum-factorized operator diagonals -----------------------------------
+//
+// `compute_diagonal` contracts per-point coefficients with 1-D product
+// tables; `compute_diagonal_reference` applies the local kernels to every
+// unit vector. The two sum in different orders, so they are compared
+// entry-wise to a relative tolerance: 1e-12 in f64, 1e-5 in f32.
+
+/// Hanging-node box whose six faces carry boundary ids 0..5, half of them
+/// Neumann under [`mixed_bc`].
+fn mixed_bc_forest() -> Forest {
+    let mut mesh = CoarseMesh::hyper_cube();
+    for f in 0..6 {
+        mesh.boundary_ids.insert((0, f), f as u32);
+    }
+    let mut forest = Forest::new(mesh);
+    forest.refine_global(1);
+    let mut marks = vec![false; 8];
+    marks[3] = true;
+    marks[6] = true;
+    forest.refine_active(&marks);
+    forest
+}
+
+fn mixed_bc() -> Vec<BoundaryCondition> {
+    use BoundaryCondition::{Dirichlet, Neumann};
+    vec![Dirichlet, Neumann, Neumann, Dirichlet, Dirichlet, Neumann]
+}
+
+fn diag_tolerance<T: Real>() -> f64 {
+    if epsilon::<T>() > 1e-10 {
+        1e-5
+    } else {
+        1e-12
+    }
+}
+
+fn assert_diag_close<T: Real>(fast: &[T], reference: &[T], ctx: &str) {
+    assert_eq!(fast.len(), reference.len(), "{ctx}: length mismatch");
+    let tol = diag_tolerance::<T>();
+    let mut worst = 0.0f64;
+    for (i, (&a, &b)) in fast.iter().zip(reference).enumerate() {
+        let (a, b) = (a.to_f64(), b.to_f64());
+        let rel = (a - b).abs() / b.abs().max(f64::MIN_POSITIVE);
+        worst = worst.max(rel);
+        assert!(
+            rel <= tol,
+            "{ctx}: diagonal entry {i} differs by {rel:.3e} relative (fast {a}, ref {b})"
+        );
+    }
+    assert!(worst.is_finite(), "{ctx}: non-finite deviation");
+}
+
+fn check_dg_diag<T: Real, const L: usize>(
+    forest: &Forest,
+    params: MfParams,
+    bc: Vec<BoundaryCondition>,
+    ctx: &str,
+) {
+    let manifold = TrilinearManifold::from_forest(forest);
+    let mf = Arc::new(MatrixFree::<T, L>::new(forest, &manifold, params));
+    let op = LaplaceOperator::with_bc(mf, bc);
+    assert_diag_close(
+        &op.compute_diagonal(),
+        &op.compute_diagonal_reference(),
+        &format!("{ctx} dg k={} n_q={}", params.degree, params.n_q),
+    );
+}
+
+fn check_cg_diag<T: Real, const L: usize>(
+    forest: &Forest,
+    k: usize,
+    bc: Vec<BoundaryCondition>,
+    ctx: &str,
+) {
+    let manifold = TrilinearManifold::from_forest(forest);
+    let space = Arc::new(CgSpace::<T, L>::new(forest, &manifold, k));
+    let op = CgLaplaceOperator::with_bc(space, bc);
+    assert_diag_close(
+        &op.compute_diagonal(),
+        &op.compute_diagonal_reference(),
+        &format!("{ctx} cg k={k}"),
+    );
+}
+
+#[test]
+fn dg_diagonal_dp_matches_reference() {
+    let f = box_forest();
+    for k in 1..=6 {
+        check_dg_diag::<f64, 8>(&f, MfParams::dg(k), Vec::new(), "box");
+    }
+}
+
+#[test]
+fn dg_diagonal_sp_matches_reference() {
+    let f = box_forest();
+    for k in 1..=6 {
+        check_dg_diag::<f32, 16>(&f, MfParams::dg(k), Vec::new(), "box");
+    }
+}
+
+#[test]
+fn dg_diagonal_mixed_bc_hanging_matches_reference() {
+    let f = mixed_bc_forest();
+    for k in 1..=6 {
+        check_dg_diag::<f64, 8>(&f, MfParams::dg(k), mixed_bc(), "mixed-bc hanging");
+        check_dg_diag::<f32, 16>(&f, MfParams::dg(k), mixed_bc(), "mixed-bc hanging");
+    }
+}
+
+#[test]
+fn dg_diagonal_non_collocated_and_pressure_space_match_reference() {
+    let f = mixed_bc_forest();
+    for k in 1..=5 {
+        // over-integrated: n_q = k + 2 (values interpolation is not the
+        // identity)
+        let over = MfParams {
+            n_q: k + 2,
+            ..MfParams::dg(k)
+        };
+        check_dg_diag::<f64, 8>(&f, over, mixed_bc(), "n_q=k+2");
+        // the flow solver's pressure space: degree k-1 on the velocity's
+        // k+1 points
+        if k >= 2 {
+            let pressure = MfParams {
+                degree: k - 1,
+                n_q: k + 1,
+                ..MfParams::dg(k)
+            };
+            check_dg_diag::<f64, 8>(&f, pressure, mixed_bc(), "pressure");
+            check_dg_diag::<f32, 16>(&f, pressure, mixed_bc(), "pressure");
+        }
+    }
+}
+
+#[test]
+fn dg_diagonal_bifurcation_matches_reference() {
+    let f = bifurcation_forest();
+    use BoundaryCondition::{Dirichlet, Neumann};
+    let bc = vec![Neumann, Dirichlet, Dirichlet, Dirichlet];
+    for k in [1, 3, 5] {
+        check_dg_diag::<f64, 8>(&f, MfParams::dg(k), bc.clone(), "bifurcation");
+    }
+    check_dg_diag::<f32, 16>(&f, MfParams::dg(3), bc, "bifurcation");
+}
+
+#[test]
+fn cg_diagonal_hanging_matches_reference() {
+    let f = hanging_forest();
+    for k in 1..=6 {
+        check_cg_diag::<f64, 8>(&f, k, Vec::new(), "hanging");
+        check_cg_diag::<f32, 16>(&f, k, Vec::new(), "hanging");
+    }
+    let f = mixed_bc_forest();
+    for k in 1..=4 {
+        check_cg_diag::<f64, 8>(&f, k, mixed_bc(), "mixed-bc hanging");
+        check_cg_diag::<f32, 16>(&f, k, mixed_bc(), "mixed-bc hanging");
     }
 }

@@ -109,7 +109,7 @@ mod tests {
         assert_eq!(mf.n_cells, mesh.n_cells());
         // total volume should be within an order of magnitude of the sum of
         // cylinder volumes
-        let vol: f64 = mf.cell_volumes.iter().sum();
+        let vol: f64 = mf.metric.cell_volumes.iter().sum();
         let analytic: f64 = mesh
             .tree
             .branches

@@ -7,7 +7,7 @@
 use crate::transfer::Transfer;
 use dgflow_fem::cg_space::{CgLaplaceOperator, CgSpace};
 use dgflow_fem::operators::laplace::BoundaryCondition;
-use dgflow_fem::{LaplaceOperator, MatrixFree, MfParams};
+use dgflow_fem::{LaplaceOperator, Mapping, MatrixFree, MfParams};
 use dgflow_mesh::{Forest, Manifold};
 use dgflow_simd::Real;
 use dgflow_solvers::{
@@ -115,11 +115,25 @@ impl<T: Real, const L: usize> HybridMultigrid<T, L> {
     ) -> Self {
         let mut levels: Vec<MgLevel<T, L>> = Vec::new();
 
+        // One geometry sampling per mapping degree on the fine forest: the
+        // DG(k) and CG(k) levels share it, and with it (same quadrature
+        // and scalar type) one set of metric terms.
+        let mut mappings: Vec<Arc<Mapping>> = Vec::new();
+        let mut fine_mapping = |mapping_degree: usize| -> Arc<Mapping> {
+            if let Some(m) = mappings.iter().find(|m| m.degree == mapping_degree) {
+                return m.clone();
+            }
+            let m = Arc::new(Mapping::build(forest, manifold, mapping_degree));
+            mappings.push(m.clone());
+            m
+        };
+
         // finest: DG(k)
-        let mf_dg = Arc::new(MatrixFree::<T, L>::new(
+        let dg_params = MfParams::dg(degree);
+        let mf_dg = Arc::new(MatrixFree::<T, L>::with_mapping(
             forest,
-            manifold,
-            MfParams::dg(degree),
+            fine_mapping(dg_params.mapping_degree),
+            dg_params,
         ));
         let dg_op = LaplaceOperator::with_bc(mf_dg.clone(), bc.clone());
 
@@ -130,7 +144,10 @@ impl<T: Real, const L: usize> HybridMultigrid<T, L> {
         }
         let cg_spaces: Vec<Arc<CgSpace<T, L>>> = degrees
             .iter()
-            .map(|&k| Arc::new(CgSpace::new(forest, manifold, k)))
+            .map(|&k| {
+                let mapping = fine_mapping(MfParams::cg(k).mapping_degree);
+                Arc::new(CgSpace::with_mapping(forest, mapping, k))
+            })
             .collect();
 
         // geometric coarsening sequence (degree 1)
@@ -159,6 +176,7 @@ impl<T: Real, const L: usize> HybridMultigrid<T, L> {
 
         // DG level
         {
+            let _sp = dgflow_trace::span("mg", "mg.build.level").meta(0);
             let transfer = Transfer::dg_to_cg(mf_dg.clone(), cg_spaces[0].clone());
             let smoother = make_smoother(&dg_op);
             levels.push(MgLevel {
@@ -170,6 +188,7 @@ impl<T: Real, const L: usize> HybridMultigrid<T, L> {
         }
         // CG p-levels
         for (i, space) in cg_spaces.iter().enumerate() {
+            let _sp = dgflow_trace::span("mg", "mg.build.level").meta(levels.len() as u64);
             let op = CgLaplaceOperator::with_bc(space.clone(), bc.clone());
             let smoother = make_smoother(&op);
             let transfer = if i + 1 < cg_spaces.len() {
@@ -196,6 +215,7 @@ impl<T: Real, const L: usize> HybridMultigrid<T, L> {
         }
         // CG h-levels
         for (i, space) in h_spaces.iter().enumerate() {
+            let _sp = dgflow_trace::span("mg", "mg.build.level").meta(levels.len() as u64);
             let op = CgLaplaceOperator::with_bc(space.clone(), bc.clone());
             let smoother = make_smoother(&op);
             let transfer = if i + 1 < h_spaces.len() {
@@ -218,6 +238,7 @@ impl<T: Real, const L: usize> HybridMultigrid<T, L> {
 
         // coarsest: assemble + AMG (drop the redundant smoother level: the
         // last matrix-free level doubles as the AMG system)
+        let _sp = dgflow_trace::span("mg", "mg.build.coarse");
         let coarse_matrix = {
             let last = levels.last().unwrap();
             match &last.op {

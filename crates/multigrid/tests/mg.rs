@@ -5,7 +5,9 @@ use dgflow_fem::cg_space::CgSpace;
 use dgflow_fem::operators::{integrate_rhs, interpolate, l2_error};
 use dgflow_fem::{BoundaryCondition, LaplaceOperator, MatrixFree, MfParams};
 use dgflow_mesh::{CoarseMesh, Forest, TrilinearManifold};
-use dgflow_multigrid::{solve_poisson, HybridMultigrid, MgParams, MixedPrecisionMg, Transfer};
+use dgflow_multigrid::{
+    solve_poisson, HybridMultigrid, LevelOp, MgParams, MixedPrecisionMg, Transfer,
+};
 use dgflow_solvers::{cg_solve, LinearOperator, Preconditioner};
 use std::sync::Arc;
 
@@ -267,4 +269,29 @@ fn w_cycle_converges_at_least_as_fast_as_v_cycle() {
     let v = run(CycleType::V);
     let w = run(CycleType::W);
     assert!(w <= v, "W-cycle ({w}) worse than V-cycle ({v})");
+}
+
+#[test]
+fn dg_and_cg_levels_share_fine_geometry() {
+    let forest = hanging_forest();
+    let manifold = TrilinearManifold::from_forest(&forest);
+    let mg =
+        HybridMultigrid::<f32, L>::build(&forest, &manifold, 3, Vec::new(), MgParams::default());
+    let (LevelOp::Dg(dg), LevelOp::Cg(cg)) = (&mg.levels[0].op, &mg.levels[1].op) else {
+        panic!("hierarchy starts DG(k) → CG(k)");
+    };
+    assert!(Arc::ptr_eq(&dg.mf.metric, &cg.space.mf.metric));
+    // ...and the shared set reads like a private one
+    let private = LaplaceOperator::<f32, L>::new(Arc::new(MatrixFree::new(
+        &forest,
+        &manifold,
+        MfParams::dg(3),
+    )));
+    let src: Vec<f32> = (0..dg.len())
+        .map(|i| ((i % 13) as f32) * 0.1 - 0.5)
+        .collect();
+    let (mut a, mut b) = (vec![0.0; src.len()], vec![0.0; src.len()]);
+    dg.apply(&src, &mut a);
+    private.apply(&src, &mut b);
+    assert_eq!(a, b);
 }

@@ -36,6 +36,7 @@ impl<T: Real> ChebyshevSmoother<T> {
         let n = op.len();
         assert_eq!(inv_diag.len(), n);
         // power iteration on D^{-1} A
+        let _sp = dgflow_trace::span("solvers", "chebyshev.estimate");
         let mut v: Vec<T> = (0..n)
             .map(|i| T::from_f64(((i * 2654435761usize) % 1000) as f64 / 500.0 - 1.0))
             .collect();

@@ -54,7 +54,7 @@ fn error_indicator(mf: &MatrixFree<f64, L>) -> Vec<f64> {
     let dpc = mf.dofs_per_cell;
     let mut eta = vec![0.0; mf.n_cells];
     for (bi, b) in mf.cell_batches.iter().enumerate() {
-        let g = &mf.cell_geometry[bi];
+        let g = &mf.metric.cell_geometry[bi];
         for l in 0..b.n_filled {
             let mut s = 0.0;
             for i in 0..dpc {
@@ -66,7 +66,7 @@ fn error_indicator(mf: &MatrixFree<f64, L>) -> Vec<f64> {
                 s += rhs(x).abs() * g.jxw[i][l];
             }
             // h-weighting: larger cells with strong data refine first
-            let h = mf.cell_volumes[b.cells[l] as usize].cbrt();
+            let h = mf.metric.cell_volumes[b.cells[l] as usize].cbrt();
             eta[b.cells[l] as usize] = s * h;
         }
     }

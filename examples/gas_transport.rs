@@ -49,7 +49,7 @@ fn main() {
     );
     println!();
     println!("{:>8} {:>12} {:>14}", "t [ms]", "Q_in [ml/s]", "mean c [-]");
-    let volume: f64 = solver.mf_u.cell_volumes.iter().sum();
+    let volume: f64 = solver.mf_u.metric.cell_volumes.iter().sum();
     let mut dt_old = solver.dt;
     for step in 0..60 {
         let info = solver.step();

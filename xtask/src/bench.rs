@@ -5,7 +5,9 @@
 //! throughput of every `(space, precision, k)` configuration against the
 //! committed baseline: a drop of more than [`TOLERANCE`] at any single
 //! configuration fails the gate. `--quick` uses a smaller mesh (and its
-//! own baseline) so the gate fits a CI budget; `--update` rewrites the
+//! own baseline) so the gate fits a CI budget, and also gates the
+//! distributed-overlap mat-vec (`dist`) and solver set-up (`setup`)
+//! benches against their own quick baselines; `--update` rewrites the
 //! baseline from a fresh measurement instead of comparing — that is how
 //! a new trajectory point is recorded.
 //!
@@ -40,6 +42,9 @@ const BASELINE_QUICK: &str = "BENCH_matvec_quick.json";
 /// Quick-gate baseline of the distributed-overlap scaling microbench
 /// (`--quick` only; the bifurcation case at 1 and 2 in-process ranks).
 const BASELINE_DIST_QUICK: &str = "BENCH_dist_quick.json";
+/// Quick-gate baseline of the set-up microbench (`--quick` only; the
+/// bifurcation case's `MatrixFree::new` and `HybridMultigrid::build`).
+const BASELINE_SETUP_QUICK: &str = "BENCH_setup_quick.json";
 
 /// One benchmark record parsed from a `dgflow-criterion-v1` file.
 #[derive(Clone, Copy, Debug)]
@@ -360,6 +365,21 @@ pub fn bench_check(args: &[String]) -> bool {
             "dist",
             BASELINE_DIST_QUICK,
             &scratch_dir.join("dist.json"),
+            update,
+            record_flags,
+            budget_ms,
+            &[],
+        )
+    {
+        return false;
+    }
+    // ... and solver set-up (metric terms, numbering, diagonals, smoother
+    // estimates), which every served job pays before its first step.
+    if quick
+        && !envelope(
+            "setup",
+            BASELINE_SETUP_QUICK,
+            &scratch_dir.join("setup.json"),
             update,
             record_flags,
             budget_ms,
