@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks of the performance-critical kernels: the
-//! even–odd sum-factorization sweeps, the DG Laplacian mat-vec (DP and SP),
+//! dense sum-factorization sweep, the DG Laplacian mat-vec (DP and SP),
 //! the Chebyshev smoother iteration, and the convective term.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -8,7 +8,7 @@ use dgflow_fem::{LaplaceOperator, MatrixFree, MfParams};
 use dgflow_mesh::{CoarseMesh, Forest, TrilinearManifold};
 use dgflow_simd::Simd;
 use dgflow_solvers::{ChebyshevSmoother, LinearOperator};
-use dgflow_tensor::sumfac::{apply_1d, apply_1d_eo};
+use dgflow_tensor::sumfac::apply_1d;
 use dgflow_tensor::{NodeSet, ShapeInfo1D};
 use std::sync::Arc;
 
@@ -23,11 +23,6 @@ fn bench_sumfac(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("dense", k), &k, |b, _| {
             b.iter(|| {
                 apply_1d(&shape.colloc_gradients, &src, &mut dst, [n, n, n], 0, false);
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("even_odd", k), &k, |b, _| {
-            b.iter(|| {
-                apply_1d_eo(&shape.gradients_eo, &src, &mut dst, [n, n, n], 0, false);
             });
         });
     }

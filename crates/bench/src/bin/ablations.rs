@@ -1,17 +1,13 @@
 //! Ablations of the paper's design choices: mixed precision (Sec. 3.4),
-//! V vs W cycles, the divergence/continuity penalty (Sec. 2.3), and the
-//! even–odd kernel decomposition (Sec. 3.1).
+//! V vs W cycles, and the divergence/continuity penalty (Sec. 2.3).
 
-use dgflow_bench::{best_time, bifurcation_forest, eng, row};
+use dgflow_bench::{bifurcation_forest, eng, row};
 use dgflow_core::{FlowParams, FlowSolver};
 use dgflow_fem::operators::integrate_rhs;
 use dgflow_fem::{BoundaryCondition, LaplaceOperator, MatrixFree, MfParams};
 use dgflow_mesh::{Forest, TrilinearManifold};
 use dgflow_multigrid::{CycleType, HybridMultigrid, MgParams, MixedPrecisionMg};
-use dgflow_simd::Simd;
 use dgflow_solvers::cg_solve;
-use dgflow_tensor::sumfac::{apply_1d, apply_1d_eo};
-use dgflow_tensor::{NodeSet, ShapeInfo1D};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -145,55 +141,4 @@ fn main() {
         }
         row(&[format!("{zd}, {zc}"), eng(solver.divergence_norm())]);
     }
-    println!();
-
-    // --- 3. even-odd vs dense 1-D sweeps --------------------------------
-    println!("## even–odd decomposition (1-D collocation-derivative sweep, batches of 8)");
-    row(&"k|dense [sweeps/s]|even–odd [sweeps/s]|speedup"
-        .split('|')
-        .map(String::from)
-        .collect::<Vec<_>>());
-    row(&"--|--|--|--"
-        .split('|')
-        .map(String::from)
-        .collect::<Vec<_>>());
-    for k in [2usize, 3, 5, 7] {
-        let n = k + 1;
-        let shape: ShapeInfo1D<f64> = ShapeInfo1D::new(k, NodeSet::Gauss, n);
-        let src = vec![Simd::<f64, 8>::splat(1.1); n * n * n];
-        let mut dst = vec![Simd::<f64, 8>::zero(); n * n * n];
-        let reps = 200_000 / (n * n * n);
-        let t_dense = best_time(5, || {
-            for _ in 0..reps {
-                apply_1d(&shape.colloc_gradients, &src, &mut dst, [n, n, n], 0, false);
-                std::hint::black_box(&dst);
-            }
-        }) / reps as f64;
-        let t_eo = best_time(5, || {
-            for _ in 0..reps {
-                apply_1d_eo(
-                    &shape.colloc_gradients_eo,
-                    &src,
-                    &mut dst,
-                    [n, n, n],
-                    0,
-                    false,
-                );
-                std::hint::black_box(&dst);
-            }
-        }) / reps as f64;
-        row(&[
-            k.to_string(),
-            eng(1.0 / t_dense),
-            eng(1.0 / t_eo),
-            format!("{:.2}", t_dense / t_eo),
-        ]);
-    }
-    println!();
-    println!("paper: even–odd + basis change give 1.5–2× on Skylake with");
-    println!("hand-placed intrinsics. On this crate's autovectorized lane-");
-    println!("array kernels the dense sweep wins (the recombination overhead");
-    println!("outweighs the Flop savings), so the operators default to the");
-    println!("dense path — an honest microarchitectural deviation, recorded");
-    println!("in EXPERIMENTS.md.");
 }

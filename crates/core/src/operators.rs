@@ -12,13 +12,54 @@ use dgflow_fem::evaluator::{
     FaceSideDesc,
 };
 use dgflow_fem::util::SharedMut;
-use dgflow_fem::{LaplaceOperator, MatrixFree};
+use dgflow_fem::{FaceBatch, LaplaceOperator, MatrixFree};
 use dgflow_simd::{Real, Simd};
 use dgflow_solvers::LinearOperator;
 
 /// Velocity stride per cell.
 fn ustride<T: Real, const L: usize>(mf: &MatrixFree<T, L>) -> usize {
     DIM * mf.dofs_per_cell
+}
+
+/// Trace of a cell-blocked field (`[cell][component][dof]`, one component
+/// per entry of `out`: `DIM` for a velocity, one for a scalar) on one side
+/// of a face batch. `out[d]` receives component `d` at the face quadrature
+/// points, in minus-frame order.
+pub(crate) fn face_values<T: Real, const L: usize>(
+    mf: &MatrixFree<T, L>,
+    b: &FaceBatch<L>,
+    side: FaceSideDesc,
+    src: &[T],
+    s: &mut FaceScratch<T, L>,
+    out: &mut [Vec<Simd<T, L>>],
+) {
+    let dpc = mf.dofs_per_cell;
+    let stride = out.len() * dpc;
+    let cells = if side.is_plus { &b.plus } else { &b.minus };
+    for (d, od) in out.iter_mut().enumerate() {
+        gather_face_cells(cells, b.n_filled, src, stride, d * dpc, dpc, &mut s.dofs);
+        evaluate_face(mf, side, false, s);
+        od.copy_from_slice(&s.val);
+    }
+}
+
+/// Integrate the flux in `s.val` against the test functions of one side
+/// of a face batch and add the result into component `comp` of a
+/// cell-blocked field with `n_comp` components (`n_comp = 1`: a scalar).
+pub(crate) fn integrate_face_add<T: Real, const L: usize>(
+    mf: &MatrixFree<T, L>,
+    b: &FaceBatch<L>,
+    side: FaceSideDesc,
+    s: &mut FaceScratch<T, L>,
+    n_comp: usize,
+    comp: usize,
+    dst: &SharedMut<T>,
+) {
+    let dpc = mf.dofs_per_cell;
+    let stride = n_comp * dpc;
+    let cells = if side.is_plus { &b.plus } else { &b.minus };
+    integrate_face(mf, side, false, s);
+    scatter_add_face_cells(cells, b.n_filled, &s.dofs, stride, comp * dpc, dpc, dst);
 }
 
 /// Weak convective term: `dst = ∫ −∇v : (u⊗u) + ⟨v, Φ*(u⁻,u⁺)·n⟩` —
@@ -78,11 +119,7 @@ pub fn convective_term<T: Real, const L: usize>(
         dgflow_comm::parallel_for_chunks(color.len(), 1, |range| {
             let mut sm = FaceScratch::<T, L>::new(mf);
             let mut sp = FaceScratch::<T, L>::new(mf);
-            let mut um = [
-                vec![Simd::<T, L>::zero(); nq2],
-                vec![Simd::<T, L>::zero(); nq2],
-                vec![Simd::<T, L>::zero(); nq2],
-            ];
+            let mut um: [Vec<Simd<T, L>>; DIM] = std::array::from_fn(|_| vec![Simd::zero(); nq2]);
             let mut up = um.clone();
             let mut flux = um.clone();
             for k in range {
@@ -91,12 +128,8 @@ pub fn convective_term<T: Real, const L: usize>(
                 let g = &mf.metric.face_geometry[bi];
                 let cat = b.category;
                 let desc_m = FaceSideDesc::minus(b);
-                for d in 0..DIM {
-                    gather_face_cells(&b.minus, b.n_filled, u, stride, d * dpc, dpc, &mut sm.dofs);
-                    evaluate_face(mf, desc_m, false, &mut sm);
-                    um[d].copy_from_slice(&sm.val);
-                }
                 let desc_p = FaceSideDesc::plus(b);
+                face_values(mf, b, desc_m, u, &mut sm, &mut um);
                 if cat.is_boundary {
                     match bcs.kind(cat.boundary_id) {
                         // mirror: u⁺ = −u⁻ (no-slip)
@@ -115,19 +148,7 @@ pub fn convective_term<T: Real, const L: usize>(
                         }
                     }
                 } else {
-                    for d in 0..DIM {
-                        gather_face_cells(
-                            &b.plus,
-                            b.n_filled,
-                            u,
-                            stride,
-                            d * dpc,
-                            dpc,
-                            &mut sp.dofs,
-                        );
-                        evaluate_face(mf, desc_p, false, &mut sp);
-                        up[d].copy_from_slice(&sp.val);
-                    }
+                    face_values(mf, b, desc_p, u, &mut sp, &mut up);
                 }
                 // pointwise LLF flux Φ_d = {{u_d u}}·n + λ/2 (u_d⁻ − u_d⁺)
                 let half = T::from_f64(0.5);
@@ -145,30 +166,12 @@ pub fn convective_term<T: Real, const L: usize>(
                 }
                 for d in 0..DIM {
                     sm.val.copy_from_slice(&flux[d]);
-                    integrate_face(mf, desc_m, false, &mut sm);
-                    scatter_add_face_cells(
-                        &b.minus,
-                        b.n_filled,
-                        &sm.dofs,
-                        stride,
-                        d * dpc,
-                        dpc,
-                        &out,
-                    );
+                    integrate_face_add(mf, b, desc_m, &mut sm, DIM, d, &out);
                     if !cat.is_boundary {
                         for q in 0..nq2 {
                             sp.val[q] = -flux[d][q];
                         }
-                        integrate_face(mf, desc_p, false, &mut sp);
-                        scatter_add_face_cells(
-                            &b.plus,
-                            b.n_filled,
-                            &sp.dofs,
-                            stride,
-                            d * dpc,
-                            dpc,
-                            &out,
-                        );
+                        integrate_face_add(mf, b, desc_p, &mut sp, DIM, d, &out);
                     }
                 }
             }
@@ -231,55 +234,38 @@ pub fn divergence<T: Real, const L: usize>(
             let mut qm = FaceScratch::<T, L>::new(mf_p);
             let mut qp = FaceScratch::<T, L>::new(mf_p);
             let mut un_avg = vec![Simd::<T, L>::zero(); nq2];
+            let mut um: [Vec<Simd<T, L>>; DIM] = std::array::from_fn(|_| vec![Simd::zero(); nq2]);
+            let mut up = um.clone();
             for k in range {
                 let bi = color[k];
                 let b = &mf_u.face_batches[bi];
                 let g = &mf_u.metric.face_geometry[bi];
                 let cat = b.category;
+                // walls mirror the velocity: {{u}}·n = 0, no flux
+                if cat.is_boundary && bcs.kind(cat.boundary_id) == BcKind::Wall {
+                    continue;
+                }
                 let desc_m = FaceSideDesc::minus(b);
                 let desc_p = FaceSideDesc::plus(b);
+                face_values(mf_u, b, desc_m, u, &mut sm, &mut um);
+                if !cat.is_boundary {
+                    face_values(mf_u, b, desc_p, u, &mut sp, &mut up);
+                }
                 for v in un_avg.iter_mut() {
                     *v = Simd::zero();
                 }
                 let half = T::from_f64(0.5);
                 for d in 0..DIM {
-                    gather_face_cells(
-                        &b.minus,
-                        b.n_filled,
-                        u,
-                        stride,
-                        d * dpc_u,
-                        dpc_u,
-                        &mut sm.dofs,
-                    );
-                    evaluate_face(mf_u, desc_m, false, &mut sm);
                     if cat.is_boundary {
-                        match bcs.kind(cat.boundary_id) {
-                            BcKind::Wall => { /* mirror: {{u}} = 0 */ }
-                            BcKind::Pressure => {
-                                for q in 0..nq2 {
-                                    un_avg[q] += sm.val[q] * g.normal[q * 3 + d];
-                                }
-                            }
+                        // pressure boundary: {{u}} = u⁻
+                        for q in 0..nq2 {
+                            un_avg[q] += um[d][q] * g.normal[q * 3 + d];
                         }
                     } else {
-                        gather_face_cells(
-                            &b.plus,
-                            b.n_filled,
-                            u,
-                            stride,
-                            d * dpc_u,
-                            dpc_u,
-                            &mut sp.dofs,
-                        );
-                        evaluate_face(mf_u, desc_p, false, &mut sp);
                         for q in 0..nq2 {
-                            un_avg[q] += (sm.val[q] + sp.val[q]) * half * g.normal[q * 3 + d];
+                            un_avg[q] += (um[d][q] + up[d][q]) * half * g.normal[q * 3 + d];
                         }
                     }
-                }
-                if cat.is_boundary && bcs.kind(cat.boundary_id) == BcKind::Wall {
-                    continue;
                 }
                 for q in 0..nq2 {
                     qm.val[q] = un_avg[q] * g.jxw[q];
@@ -289,11 +275,9 @@ pub fn divergence<T: Real, const L: usize>(
                         qp.val[q] = -qm.val[q];
                     }
                 }
-                integrate_face(mf_p, desc_m, false, &mut qm);
-                scatter_add_face_cells(&b.minus, b.n_filled, &qm.dofs, dpc_p, 0, dpc_p, &out);
+                integrate_face_add(mf_p, b, desc_m, &mut qm, 1, 0, &out);
                 if !cat.is_boundary {
-                    integrate_face(mf_p, desc_p, false, &mut qp);
-                    scatter_add_face_cells(&b.plus, b.n_filled, &qp.dofs, dpc_p, 0, dpc_p, &out);
+                    integrate_face_add(mf_p, b, desc_p, &mut qp, 1, 0, &out);
                 }
             }
         });
@@ -350,6 +334,8 @@ pub fn gradient<T: Real, const L: usize>(
             let mut su_p = FaceScratch::<T, L>::new(mf_u);
             let mut qm = FaceScratch::<T, L>::new(mf_p);
             let mut qp = FaceScratch::<T, L>::new(mf_p);
+            let mut pm = [vec![Simd::<T, L>::zero(); nq2]];
+            let mut pp = pm.clone();
             let mut p_avg = vec![Simd::<T, L>::zero(); nq2];
             for k in range {
                 let bi = color[k];
@@ -358,11 +344,10 @@ pub fn gradient<T: Real, const L: usize>(
                 let cat = b.category;
                 let desc_m = FaceSideDesc::minus(b);
                 let desc_p = FaceSideDesc::plus(b);
-                gather_face_cells(&b.minus, b.n_filled, p, dpc_p, 0, dpc_p, &mut qm.dofs);
-                evaluate_face(mf_p, desc_m, false, &mut qm);
+                face_values(mf_p, b, desc_m, p, &mut qm, &mut pm);
                 if cat.is_boundary {
                     match bcs.kind(cat.boundary_id) {
-                        BcKind::Wall => p_avg.copy_from_slice(&qm.val),
+                        BcKind::Wall => p_avg.copy_from_slice(&pm[0]),
                         BcKind::Pressure => {
                             let gp = T::from_f64(bcs.pressure(cat.boundary_id));
                             for v in p_avg.iter_mut() {
@@ -371,11 +356,10 @@ pub fn gradient<T: Real, const L: usize>(
                         }
                     }
                 } else {
-                    gather_face_cells(&b.plus, b.n_filled, p, dpc_p, 0, dpc_p, &mut qp.dofs);
-                    evaluate_face(mf_p, desc_p, false, &mut qp);
+                    face_values(mf_p, b, desc_p, p, &mut qp, &mut pp);
                     let half = T::from_f64(0.5);
                     for q in 0..nq2 {
-                        p_avg[q] = (qm.val[q] + qp.val[q]) * half;
+                        p_avg[q] = (pm[0][q] + pp[0][q]) * half;
                     }
                 }
                 for d in 0..DIM {
@@ -387,27 +371,9 @@ pub fn gradient<T: Real, const L: usize>(
                             su_p.val[q] = -su_m.val[q];
                         }
                     }
-                    integrate_face(mf_u, desc_m, false, &mut su_m);
-                    scatter_add_face_cells(
-                        &b.minus,
-                        b.n_filled,
-                        &su_m.dofs,
-                        stride,
-                        d * dpc_u,
-                        dpc_u,
-                        &out,
-                    );
+                    integrate_face_add(mf_u, b, desc_m, &mut su_m, DIM, d, &out);
                     if !cat.is_boundary {
-                        integrate_face(mf_u, desc_p, false, &mut su_p);
-                        scatter_add_face_cells(
-                            &b.plus,
-                            b.n_filled,
-                            &su_p.dofs,
-                            stride,
-                            d * dpc_u,
-                            dpc_u,
-                            &out,
-                        );
+                        integrate_face_add(mf_u, b, desc_p, &mut su_p, DIM, d, &out);
                     }
                 }
             }
@@ -590,11 +556,8 @@ impl<'a, T: Real, const L: usize> LinearOperator<T> for PenaltyOperator<'a, T, L
                 let mut sm = FaceScratch::<T, L>::new(mf);
                 let mut sp = FaceScratch::<T, L>::new(mf);
                 let mut jump_n = vec![Simd::<T, L>::zero(); nq2];
-                let mut um = [
-                    vec![Simd::<T, L>::zero(); nq2],
-                    vec![Simd::<T, L>::zero(); nq2],
-                    vec![Simd::<T, L>::zero(); nq2],
-                ];
+                let mut um: [Vec<Simd<T, L>>; DIM] =
+                    std::array::from_fn(|_| vec![Simd::zero(); nq2]);
                 let mut up = um.clone();
                 for k in range {
                     let bi = color[k];
@@ -605,30 +568,8 @@ impl<'a, T: Real, const L: usize> LinearOperator<T> for PenaltyOperator<'a, T, L
                     let g = &mf.metric.face_geometry[bi];
                     let desc_m = FaceSideDesc::minus(b);
                     let desc_p = FaceSideDesc::plus(b);
-                    for d in 0..DIM {
-                        gather_face_cells(
-                            &b.minus,
-                            b.n_filled,
-                            src,
-                            stride,
-                            d * dpc,
-                            dpc,
-                            &mut sm.dofs,
-                        );
-                        evaluate_face(mf, desc_m, false, &mut sm);
-                        um[d].copy_from_slice(&sm.val);
-                        gather_face_cells(
-                            &b.plus,
-                            b.n_filled,
-                            src,
-                            stride,
-                            d * dpc,
-                            dpc,
-                            &mut sp.dofs,
-                        );
-                        evaluate_face(mf, desc_p, false, &mut sp);
-                        up[d].copy_from_slice(&sp.val);
-                    }
+                    face_values(mf, b, desc_m, src, &mut sm, &mut um);
+                    face_values(mf, b, desc_p, src, &mut sp, &mut up);
                     let ac = self.a_cont[bi];
                     for q in 0..nq2 {
                         let mut j = Simd::<T, L>::zero();
@@ -642,51 +583,12 @@ impl<'a, T: Real, const L: usize> LinearOperator<T> for PenaltyOperator<'a, T, L
                             sm.val[q] = jump_n[q] * g.normal[q * 3 + d];
                             sp.val[q] = -sm.val[q];
                         }
-                        integrate_face(mf, desc_m, false, &mut sm);
-                        scatter_add_face_cells(
-                            &b.minus,
-                            b.n_filled,
-                            &sm.dofs,
-                            stride,
-                            d * dpc,
-                            dpc,
-                            &out,
-                        );
-                        integrate_face(mf, desc_p, false, &mut sp);
-                        scatter_add_face_cells(
-                            &b.plus,
-                            b.n_filled,
-                            &sp.dofs,
-                            stride,
-                            d * dpc,
-                            dpc,
-                            &out,
-                        );
+                        integrate_face_add(mf, b, desc_m, &mut sm, DIM, d, &out);
+                        integrate_face_add(mf, b, desc_p, &mut sp, DIM, d, &out);
                     }
                 }
             });
         }
-    }
-
-    fn diagonal(&self) -> Vec<T> {
-        // mass-dominated; the penalty contribution is modest — the mass
-        // diagonal is the standard preconditioner for this solve
-        let mf = self.mf;
-        let dpc = mf.dofs_per_cell;
-        let stride = ustride(mf);
-        let mut diag = vec![T::ZERO; DIM * mf.n_dofs()];
-        for (bi, b) in mf.cell_batches.iter().enumerate() {
-            let g = &mf.metric.cell_geometry[bi];
-            for l in 0..b.n_filled {
-                let base = stride * b.cells[l] as usize;
-                for d in 0..DIM {
-                    for i in 0..dpc {
-                        diag[base + d * dpc + i] = g.jxw[i][l];
-                    }
-                }
-            }
-        }
-        diag
     }
 }
 
@@ -697,10 +599,9 @@ pub fn boundary_flow_rate<T: Real, const L: usize>(
     boundary_id: u32,
     u: &[T],
 ) -> f64 {
-    let dpc = mf.dofs_per_cell;
-    let stride = ustride(mf);
     let nq2 = mf.n_q() * mf.n_q();
     let mut sm = FaceScratch::<T, L>::new(mf);
+    let mut um: [Vec<Simd<T, L>>; DIM] = std::array::from_fn(|_| vec![Simd::zero(); nq2]);
     let mut total = 0.0;
     for (bi, b) in mf.face_batches.iter().enumerate() {
         let cat = b.category;
@@ -708,12 +609,10 @@ pub fn boundary_flow_rate<T: Real, const L: usize>(
             continue;
         }
         let g = &mf.metric.face_geometry[bi];
-        let desc = FaceSideDesc::minus(b);
+        face_values(mf, b, FaceSideDesc::minus(b), u, &mut sm, &mut um);
         for d in 0..DIM {
-            gather_face_cells(&b.minus, b.n_filled, u, stride, d * dpc, dpc, &mut sm.dofs);
-            evaluate_face(mf, desc, false, &mut sm);
             for q in 0..nq2 {
-                let c = sm.val[q] * g.normal[q * 3 + d] * g.jxw[q];
+                let c = um[d][q] * g.normal[q * 3 + d] * g.jxw[q];
                 for l in 0..b.n_filled {
                     total += c[l].to_f64();
                 }

@@ -9,11 +9,11 @@
 //! the same IMEX splitting as the momentum equation.
 
 use crate::field::DIM;
-use crate::operators::HelmholtzOperator;
+use crate::operators::{face_values, integrate_face_add, HelmholtzOperator};
 use crate::timeint::BdfCoefficients;
 use dgflow_fem::evaluator::{
-    evaluate_face, evaluate_values, gather_cell, gather_face_cells, integrate, integrate_face,
-    scatter_add_cell, scatter_add_face_cells, CellScratch, FaceScratch, FaceSideDesc,
+    evaluate_values, gather_cell, integrate, scatter_add_cell, CellScratch, FaceScratch,
+    FaceSideDesc,
 };
 use dgflow_fem::util::SharedMut;
 use dgflow_fem::{BoundaryCondition, LaplaceOperator, MassOperator, MatrixFree};
@@ -86,8 +86,10 @@ pub fn advect_term<const L: usize>(
         dgflow_comm::parallel_for_chunks(color.len(), 1, |range| {
             let mut sm = FaceScratch::<f64, L>::new(mf);
             let mut sp = FaceScratch::<f64, L>::new(mf);
-            let mut cm = vec![Simd::<f64, L>::zero(); nq2];
-            let mut cp = vec![Simd::<f64, L>::zero(); nq2];
+            let mut um: [Vec<Simd<f64, L>>; DIM] = std::array::from_fn(|_| vec![Simd::zero(); nq2]);
+            let mut up = um.clone();
+            let mut cm = [vec![Simd::<f64, L>::zero(); nq2]];
+            let mut cp = cm.clone();
             let mut un = vec![Simd::<f64, L>::zero(); nq2];
             for k in range {
                 let bi = color[k];
@@ -97,45 +99,26 @@ pub fn advect_term<const L: usize>(
                 let desc_m = FaceSideDesc::minus(b);
                 let desc_p = FaceSideDesc::plus(b);
                 // normal velocity (average of the two traces)
+                face_values(mf, b, desc_m, u, &mut sm, &mut um);
+                if !cat.is_boundary {
+                    face_values(mf, b, desc_p, u, &mut sp, &mut up);
+                }
                 for v in un.iter_mut() {
                     *v = Simd::zero();
                 }
                 for d in 0..DIM {
-                    gather_face_cells(
-                        &b.minus,
-                        b.n_filled,
-                        u,
-                        stride_u,
-                        d * dpc,
-                        dpc,
-                        &mut sm.dofs,
-                    );
-                    evaluate_face(mf, desc_m, false, &mut sm);
                     if cat.is_boundary {
                         for q in 0..nq2 {
-                            un[q] += sm.val[q] * g.normal[q * 3 + d];
+                            un[q] += um[d][q] * g.normal[q * 3 + d];
                         }
                     } else {
-                        gather_face_cells(
-                            &b.plus,
-                            b.n_filled,
-                            u,
-                            stride_u,
-                            d * dpc,
-                            dpc,
-                            &mut sp.dofs,
-                        );
-                        evaluate_face(mf, desc_p, false, &mut sp);
                         for q in 0..nq2 {
-                            un[q] +=
-                                (sm.val[q] + sp.val[q]) * Simd::splat(0.5) * g.normal[q * 3 + d];
+                            un[q] += (um[d][q] + up[d][q]) * Simd::splat(0.5) * g.normal[q * 3 + d];
                         }
                     }
                 }
                 // scalar traces
-                gather_face_cells(&b.minus, b.n_filled, c, dpc, 0, dpc, &mut sm.dofs);
-                evaluate_face(mf, desc_m, false, &mut sm);
-                cm.copy_from_slice(&sm.val);
+                face_values(mf, b, desc_m, c, &mut sm, &mut cm);
                 if cat.is_boundary {
                     match bc_of(cat.boundary_id) {
                         ScalarBc::Dirichlet(value) => {
@@ -143,32 +126,26 @@ pub fn advect_term<const L: usize>(
                             // flow enters, the interior trace where it exits
                             for q in 0..nq2 {
                                 for l in 0..b.n_filled {
-                                    cp[q][l] = if un[q][l] < 0.0 { value } else { cm[q][l] };
+                                    cp[0][q][l] = if un[q][l] < 0.0 { value } else { cm[0][q][l] };
                                 }
                             }
                         }
-                        ScalarBc::Outflow => cp.copy_from_slice(&cm),
+                        ScalarBc::Outflow => cp[0].copy_from_slice(&cm[0]),
                     }
                 } else {
-                    gather_face_cells(&b.plus, b.n_filled, c, dpc, 0, dpc, &mut sp.dofs);
-                    evaluate_face(mf, desc_p, false, &mut sp);
-                    cp.copy_from_slice(&sp.val);
+                    face_values(mf, b, desc_p, c, &mut sp, &mut cp);
                 }
                 // upwind flux: ĉ u·n = {{c}} u·n + |u·n|/2 [[c]]
                 for q in 0..nq2 {
-                    let avg = (cm[q] + cp[q]) * Simd::splat(0.5);
-                    let jump = cm[q] - cp[q];
+                    let avg = (cm[0][q] + cp[0][q]) * Simd::splat(0.5);
+                    let jump = cm[0][q] - cp[0][q];
                     let flux = (avg * un[q] + un[q].abs() * Simd::splat(0.5) * jump) * g.jxw[q];
                     sm.val[q] = flux;
                     sp.val[q] = -flux;
                 }
-                let flux_p: Vec<Simd<f64, L>> = sp.val.clone();
-                integrate_face(mf, desc_m, false, &mut sm);
-                scatter_add_face_cells(&b.minus, b.n_filled, &sm.dofs, dpc, 0, dpc, &out);
+                integrate_face_add(mf, b, desc_m, &mut sm, 1, 0, &out);
                 if !cat.is_boundary {
-                    sp.val.copy_from_slice(&flux_p);
-                    integrate_face(mf, desc_p, false, &mut sp);
-                    scatter_add_face_cells(&b.plus, b.n_filled, &sp.dofs, dpc, 0, dpc, &out);
+                    integrate_face_add(mf, b, desc_p, &mut sp, 1, 0, &out);
                 }
             }
         });

@@ -138,7 +138,12 @@ pub struct FlowSolver<const L: usize> {
     pub params: FlowParams,
     helmholtz: HelmholtzOperator<f64, L>,
     pressure_op: LaplaceOperator<f64, L>,
-    pressure_mg: Option<MixedPrecisionMg<L>>,
+    /// Pressure Poisson preconditioner: the hybrid multigrid, or point
+    /// Jacobi when `use_multigrid` is off. Δt-independent, built once.
+    pressure_pre: Box<dyn Preconditioner<f64> + Send>,
+    /// Penalty-solve preconditioner: Jacobi on the velocity mass, which
+    /// dominates the penalty operator's diagonal. Δt-independent.
+    penalty_pre: JacobiPreconditioner<f64>,
     inv_mass_scalar: Vec<f64>,
     /// Velocity at `t^n` / `t^{n-1}`.
     pub velocity: Vec<f64>,
@@ -202,8 +207,8 @@ impl<const L: usize> FlowSolver<L> {
         let mass_w: Vec<f64> = MassOperator::new(&mf_u).weights();
         let helmholtz = HelmholtzOperator::new(visc_lap, mass_w.clone(), params.viscosity);
         let pressure_op = LaplaceOperator::with_bc(mf_p.clone(), bcs.pressure_poisson_bc());
-        let pressure_mg = if params.use_multigrid {
-            Some(MixedPrecisionMg::<L> {
+        let pressure_pre: Box<dyn Preconditioner<f64> + Send> = if params.use_multigrid {
+            Box::new(MixedPrecisionMg::<L> {
                 mg: HybridMultigrid::<f32, L>::build(
                     forest,
                     manifold,
@@ -213,8 +218,16 @@ impl<const L: usize> FlowSolver<L> {
                 ),
             })
         } else {
-            None
+            Box::new(JacobiPreconditioner::new(pressure_op.compute_diagonal()))
         };
+        let dpc = mf_u.dofs_per_cell;
+        let penalty_pre = JacobiPreconditioner::new(
+            mass_w
+                .chunks(dpc)
+                .flat_map(|w| std::iter::repeat_n(w, DIM).flatten())
+                .copied()
+                .collect(),
+        );
         let inv_mass_scalar: Vec<f64> = mass_w.iter().map(|w| 1.0 / w).collect();
         let h_cell: Vec<f64> = mf_u.metric.cell_volumes.iter().map(|v| v.cbrt()).collect();
         let n_u = n_velocity_dofs(&mf_u);
@@ -223,7 +236,8 @@ impl<const L: usize> FlowSolver<L> {
         Self {
             helmholtz,
             pressure_op,
-            pressure_mg,
+            pressure_pre,
+            penalty_pre,
             inv_mass_scalar,
             velocity: vec![0.0; n_u],
             velocity_old: vec![0.0; n_u],
@@ -312,17 +326,9 @@ impl<const L: usize> FlowSolver<L> {
         for (r, d) in prhs.iter_mut().zip(&div) {
             *r -= gamma_dt * d;
         }
-        let jac;
-        let precond: &dyn Preconditioner<f64> = match &self.pressure_mg {
-            Some(mg) => mg,
-            None => {
-                jac = JacobiPreconditioner::new(self.pressure_op.compute_diagonal());
-                &jac
-            }
-        };
         let pres = cg_solve(
             &self.pressure_op,
-            precond,
+            self.pressure_pre.as_ref(),
             &prhs,
             &mut self.pressure,
             self.params.rel_tol,
@@ -413,11 +419,10 @@ impl<const L: usize> FlowSolver<L> {
                 }
             }
         }
-        let pen_pre = JacobiPreconditioner::new(dgflow_solvers::LinearOperator::diagonal(&pen));
         let mut u_new = u_star.clone();
         let pres_pen = cg_solve(
             &pen,
-            &pen_pre,
+            &self.penalty_pre,
             &pen_rhs,
             &mut u_new,
             self.params.rel_tol,

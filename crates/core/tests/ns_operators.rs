@@ -89,6 +89,32 @@ fn convective_exactness_on_linear_fields() {
     }
 }
 
+/// Wall closure of the convective term: the mirror state `u⁺ = −u⁻` turns
+/// the LLF flux into `u_d (u·n + |u·n|)`, so a uniform `u = (1,0,0)` gives
+/// twice the outflow face's area at x = 1, nothing at the inflow face
+/// x = 0, and nothing on the tangential faces: `1ᵀC_x = 2`,
+/// `1ᵀC_y = 1ᵀC_z = 0` (cell and interior-face terms sum to zero).
+#[test]
+fn convective_wall_closure_doubles_outflow() {
+    for forest in [cube(1), hanging()] {
+        let (mf_u, _) = spaces(&forest, 2);
+        let u = interpolate_velocity(&mf_u, &|_| [1.0, 0.0, 0.0]);
+        let mut c = vec![0.0; u.len()];
+        convective_term(&mf_u, &FlowBcs::walls(), &u, &mut c);
+        let dpc = mf_u.dofs_per_cell;
+        let mut total = [0.0f64; 3];
+        for cell in 0..mf_u.n_cells {
+            for (d, t) in total.iter_mut().enumerate() {
+                let base = cell * 3 * dpc + d * dpc;
+                *t += c[base..base + dpc].iter().sum::<f64>();
+            }
+        }
+        assert!((total[0] - 2.0).abs() < 1e-12, "1ᵀC_x = {}", total[0]);
+        assert!(total[1].abs() < 1e-12, "1ᵀC_y = {}", total[1]);
+        assert!(total[2].abs() < 1e-12, "1ᵀC_z = {}", total[2]);
+    }
+}
+
 /// Discrete Gauss theorem: `1ᵀ D(u) = ∮ u·n` when the boundary closure
 /// passes the interior trace through (all-pressure boundaries).
 #[test]

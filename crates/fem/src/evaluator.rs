@@ -134,11 +134,11 @@ pub fn evaluate_gradients<T: Real, const L: usize>(
 ) {
     let nq = mf.n_q();
     for d in 0..3 {
-        // NOTE: the even-odd variant (`apply_1d_eo`, the paper's
-        // Flop-minimizing choice) measures *slower* than the dense sweep on
-        // this crate's lane-array kernels (see the `ablations` bench): the
-        // dense inner loop vectorizes perfectly while the decomposition
-        // adds lane-recombination overhead. We keep the faster dense path.
+        // NOTE: the paper's Flop-minimizing even–odd sweep measured 0.5–0.8×
+        // of this dense sweep on the crate's lane-array kernels (EXPERIMENTS
+        // ablations): the dense inner loop vectorizes perfectly while the
+        // decomposition adds lane-recombination overhead. Only the dense
+        // sweep is kept.
         apply_1d(
             &mf.shape.colloc_gradients,
             &s.quad,

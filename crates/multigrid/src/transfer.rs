@@ -33,13 +33,6 @@ impl<T: Real, const L: usize> FineSpace<T, L> {
             FineSpace::Cg(s) => s.n_dofs,
         }
     }
-    #[allow(dead_code)]
-    fn n_cells(&self) -> usize {
-        match self {
-            FineSpace::Dg(mf) => mf.n_cells,
-            FineSpace::Cg(s) => s.mf.n_cells,
-        }
-    }
     fn n1(&self) -> usize {
         match self {
             FineSpace::Dg(mf) => mf.n_1d(),

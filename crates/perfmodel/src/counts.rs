@@ -17,8 +17,13 @@ pub struct LaplaceCounts {
 }
 
 impl LaplaceCounts {
-    /// Counts for the 3-D SIPG Laplacian with `n_q = k+1` Gauss quadrature,
-    /// collocated basis, even–odd kernels.
+    /// Counts for the 3-D SIPG Laplacian with `n_q = k+1` Gauss quadrature
+    /// and a collocated basis.
+    ///
+    /// The sweep count is the paper's even–odd Flop model (≈ 1.5 n
+    /// operations per output entry), not the dense sweep that
+    /// `dgflow-tensor` runs (n multiply-adds, ≈ 2 n operations per entry);
+    /// it is kept so the roofline stays comparable with the paper's Fig. 7.
     pub fn new(degree: usize, scalar_bytes: f64) -> Self {
         let n = (degree + 1) as f64;
         let n3 = n * n * n;

@@ -43,18 +43,6 @@ impl<T: Real, const LANES: usize> Simd<T, LANES> {
         Simd(out)
     }
 
-    /// Borrow the lanes.
-    #[inline(always)]
-    pub fn as_array(&self) -> &[T; LANES] {
-        &self.0
-    }
-
-    /// Mutably borrow the lanes.
-    #[inline(always)]
-    pub fn as_array_mut(&mut self) -> &mut [T; LANES] {
-        &mut self.0
-    }
-
     /// Fused multiply-add: `self * a + b` lane-wise.
     #[inline(always)]
     pub fn mul_add(self, a: Self, b: Self) -> Self {
@@ -93,16 +81,6 @@ impl<T: Real, const LANES: usize> Simd<T, LANES> {
             s += self.0[l];
         }
         s
-    }
-
-    /// Horizontal maximum over the lanes.
-    #[inline(always)]
-    pub fn horizontal_max(self) -> T {
-        let mut m = self.0[0];
-        for l in 1..LANES {
-            m = m.max(self.0[l]);
-        }
-        m
     }
 
     /// Gather: lane `l` reads `src[indices[l]]`. Lanes whose index is
@@ -146,18 +124,6 @@ impl<T: Real, const LANES: usize> Simd<T, LANES> {
                 src[i as usize]
             }
         })
-    }
-
-    /// Scatter-add with a compact `u32` index table; `u32::MAX` lanes are
-    /// skipped. Transpose of [`Self::gather_u32`].
-    #[inline(always)]
-    pub fn scatter_add_u32(self, dst: &mut [T], indices: &[u32; LANES]) {
-        for l in 0..LANES {
-            let i = indices[l];
-            if i != u32::MAX {
-                dst[i as usize] += self.0[l];
-            }
-        }
     }
 
     /// Convert each lane to a different scalar type (SP↔DP transfers of the
@@ -281,7 +247,6 @@ mod tests {
     fn horizontal_reductions() {
         let a = F64x8::from_fn(|l| (l + 1) as f64);
         assert_eq!(a.horizontal_sum(), 36.0);
-        assert_eq!(a.horizontal_max(), 8.0);
     }
 
     #[test]
@@ -303,7 +268,7 @@ mod tests {
     }
 
     #[test]
-    fn gather_scatter_u32_match_usize_paths() {
+    fn gather_u32_matches_usize_path() {
         let src: Vec<f64> = (0..40).map(|i| f64::from(i) * 0.25).collect();
         let mut idx = [0usize; 8];
         let mut idx32 = [0u32; 8];
@@ -317,12 +282,6 @@ mod tests {
         let b = F64x8::gather_u32(&src, &idx32);
         assert_eq!(a, b);
         assert_eq!(b[2], 0.0);
-        let mut d1 = vec![0.0f64; 40];
-        let mut d2 = vec![0.0f64; 40];
-        a.scatter_add(&mut d1, &idx);
-        b.scatter_add_u32(&mut d2, &idx32);
-        assert_eq!(d1, d2);
-        assert_eq!(d2[3], src[3]);
     }
 
     #[test]

@@ -21,11 +21,6 @@ impl<T: Real> JacobiPreconditioner<T> {
             .collect();
         Self { inv_diag }
     }
-
-    /// The stored inverse diagonal.
-    pub fn inverse_diagonal(&self) -> &[T] {
-        &self.inv_diag
-    }
 }
 
 impl<T: Real> Preconditioner<T> for JacobiPreconditioner<T> {

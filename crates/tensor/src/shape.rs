@@ -1,9 +1,8 @@
 //! Precomputed 1-D shape data shared by all sum-factorization kernels: the
 //! interpolation / differentiation matrices (`I_e`, `I_f` of Eq. (7)), their
-//! transposes, even–odd compressed forms, boundary traces, and half-interval
-//! embeddings for hanging nodes and h-multigrid.
+//! transposes, boundary traces, and half-interval embeddings for hanging
+//! nodes and h-multigrid.
 
-use crate::even_odd::{EvenOddMatrix, Symmetry};
 use crate::lagrange::LagrangeBasis1D;
 use crate::matrix::DMatrix;
 use crate::quadrature::{gauss_lobatto_rule, gauss_rule, QuadratureRule};
@@ -60,14 +59,6 @@ pub struct ShapeInfo1D<T> {
     pub gradients: DMatrix<T>,
     /// Transpose of `gradients`.
     pub gradients_t: DMatrix<T>,
-    /// Even–odd compressed `values`.
-    pub values_eo: EvenOddMatrix<T>,
-    /// Even–odd compressed `values_t`.
-    pub values_t_eo: EvenOddMatrix<T>,
-    /// Even–odd compressed `gradients`.
-    pub gradients_eo: EvenOddMatrix<T>,
-    /// Even–odd compressed `gradients_t`.
-    pub gradients_t_eo: EvenOddMatrix<T>,
     /// Collocation derivative at the quadrature points:
     /// `colloc_grad[q][p] = L_p'(x_q)` for the Lagrange basis on the
     /// quadrature points themselves. Lets cell kernels interpolate once to
@@ -76,10 +67,6 @@ pub struct ShapeInfo1D<T> {
     pub colloc_gradients: DMatrix<T>,
     /// Transpose of `colloc_gradients`.
     pub colloc_gradients_t: DMatrix<T>,
-    /// Even–odd compressed `colloc_gradients` (the hot cell-kernel path).
-    pub colloc_gradients_eo: EvenOddMatrix<T>,
-    /// Even–odd compressed `colloc_gradients_t`.
-    pub colloc_gradients_t_eo: EvenOddMatrix<T>,
     /// Basis values at the interval ends: `face_values[s][i] = l_i(s)`.
     pub face_values: [Vec<T>; 2],
     /// When `face_values[s]` is exactly a standard basis vector (a nodal
@@ -174,16 +161,7 @@ impl<T: Real> ShapeInfo1D<T> {
             quad_weights: quad.weights_as::<T>(),
             values_t: values.transpose(),
             gradients_t: gradients.transpose(),
-            values_eo: EvenOddMatrix::compress(&values, Symmetry::Even),
-            values_t_eo: EvenOddMatrix::compress(&values.transpose(), Symmetry::Even),
-            gradients_eo: EvenOddMatrix::compress(&gradients, Symmetry::Odd),
-            gradients_t_eo: EvenOddMatrix::compress(&gradients.transpose(), Symmetry::Odd),
             colloc_gradients_t: colloc_gradients.transpose(),
-            colloc_gradients_eo: EvenOddMatrix::compress(&colloc_gradients, Symmetry::Odd),
-            colloc_gradients_t_eo: EvenOddMatrix::compress(
-                &colloc_gradients.transpose(),
-                Symmetry::Odd,
-            ),
             colloc_gradients,
             values,
             gradients,
@@ -202,14 +180,6 @@ impl<T: Real> ShapeInfo1D<T> {
     /// Number of 1-D degrees of freedom (`k+1`).
     pub fn n_dofs(&self) -> usize {
         self.degree + 1
-    }
-
-    /// Interpolation matrix from this basis's nodes to another degree's
-    /// nodes of the given family — the 1-D building block of polynomial
-    /// (p-) multigrid transfer and the DG→CG basis change.
-    pub fn basis_change_to(&self, other_degree: usize, other_set: NodeSet) -> DMatrix<T> {
-        let target = other_set.nodes(other_degree);
-        self.basis.value_matrix(&target)
     }
 }
 
@@ -271,21 +241,6 @@ mod tests {
         let d = s.colloc_gradients.matvec(&vals);
         for (q, &x) in s.quad.points.iter().enumerate() {
             assert!((d[q] - 4.0 * x.powi(3)).abs() < 1e-11);
-        }
-    }
-
-    #[test]
-    fn basis_change_roundtrip_preserves_polynomials() {
-        let g: ShapeInfo1D<f64> = ShapeInfo1D::new(3, NodeSet::Gauss, 4);
-        let to_gll = g.basis_change_to(3, NodeSet::GaussLobatto);
-        let gll: ShapeInfo1D<f64> = ShapeInfo1D::new(3, NodeSet::GaussLobatto, 4);
-        let back = gll.basis_change_to(3, NodeSet::Gauss);
-        let roundtrip = back.matmul(&to_gll);
-        for i in 0..4 {
-            for j in 0..4 {
-                let expect = if i == j { 1.0 } else { 0.0 };
-                assert!((roundtrip.get(i, j) - expect).abs() < 1e-11);
-            }
         }
     }
 

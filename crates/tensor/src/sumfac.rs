@@ -2,15 +2,14 @@
 //! 3-D (or degenerate 2-D) tensor of SIMD cell batches.
 //!
 //! These are the innermost loops of the whole solver; every discretized PDE
-//! operator in the workspace is a composition of [`apply_1d`] /
-//! [`apply_1d_eo`] sweeps (the `I_e`, `I_f` of Eq. (7)), pointwise work at
-//! quadrature points (`D_e`, `D_f`), and the face contractions
-//! [`contract_dir`] / [`expand_dir`].
+//! operator in the workspace is a composition of dense [`apply_1d`] sweeps
+//! (the `I_e`, `I_f` of Eq. (7)), pointwise work at quadrature points
+//! (`D_e`, `D_f`), and the face contractions [`contract_dir`] /
+//! [`expand_dir`].
 //!
 //! Index convention: lexicographic, direction 0 fastest:
 //! `idx = i0 + e0*(i1 + e1*i2)`.
 
-use crate::even_odd::EvenOddMatrix;
 use crate::matrix::DMatrix;
 use dgflow_simd::{Real, Simd};
 
@@ -21,7 +20,7 @@ pub const MAX_N_1D: usize = 16;
 /// the `n_in × CHUNK` source tile (≤ 16·8·64 B = 8 KiB for f64×8 batches)
 /// stays L1-resident while all `n_out` output rows are formed from it, and
 /// the `CHUNK` accumulators fit the vector register file.
-pub(crate) const CHUNK: usize = 8;
+const CHUNK: usize = 8;
 
 #[inline(always)]
 fn line_dims(dir: usize) -> (usize, usize) {
@@ -179,104 +178,6 @@ pub fn apply_1d_ref<T: Real, const L: usize>(
                     dst[o] += acc;
                 } else {
                     dst[o] = acc;
-                }
-            }
-        }
-    }
-}
-
-/// Even–odd variant of [`apply_1d`]: identical result, roughly half the
-/// multiplications for symmetric point sets.
-///
-/// Cache-blocked like [`apply_1d`]: direction 0 applies per contiguous
-/// line, directions 1–2 hand [`CHUNK`]-wide tiles of parallel lines to
-/// [`EvenOddMatrix::apply_lines_strided`]. Bitwise equal to
-/// [`apply_1d_eo_ref`].
-pub fn apply_1d_eo<T: Real, const L: usize>(
-    m: &EvenOddMatrix<T>,
-    src: &[Simd<T, L>],
-    dst: &mut [Simd<T, L>],
-    extents_in: [usize; 3],
-    dir: usize,
-    add: bool,
-) {
-    let n_in = m.cols();
-    let n_out = m.rows();
-    debug_assert_eq!(extents_in[dir], n_in);
-    debug_assert_eq!(src.len(), tensor_len(extents_in));
-    debug_assert_eq!(dst.len(), tensor_len(extents_after(extents_in, dir, n_out)));
-    assert!(dir < 3, "direction out of range");
-    if dir == 0 {
-        let n_lines = extents_in[1] * extents_in[2];
-        let mut out = [Simd::<T, L>::zero(); MAX_N_1D];
-        for line in 0..n_lines {
-            let sline = &src[line * n_in..line * n_in + n_in];
-            m.apply_line(sline, &mut out[..n_out]);
-            let dline = &mut dst[line * n_out..line * n_out + n_out];
-            if add {
-                for q in 0..n_out {
-                    dline[q] += out[q];
-                }
-            } else {
-                dline.copy_from_slice(&out[..n_out]);
-            }
-        }
-        return;
-    }
-    let run = if dir == 1 {
-        extents_in[0]
-    } else {
-        extents_in[0] * extents_in[1]
-    };
-    let n_slabs = if dir == 1 { extents_in[2] } else { 1 };
-    let in_slab = run * n_in;
-    let out_slab = run * n_out;
-    for slab in 0..n_slabs {
-        let s_src = &src[slab * in_slab..slab * in_slab + in_slab];
-        let s_dst = &mut dst[slab * out_slab..slab * out_slab + out_slab];
-        let mut c0 = 0;
-        while c0 < run {
-            let cb = (run - c0).min(CHUNK);
-            m.apply_lines_strided(&s_src[c0..], run, &mut s_dst[c0..], run, cb, add);
-            c0 += cb;
-        }
-    }
-}
-
-/// Reference implementation of [`apply_1d_eo`]: per-line gather into a
-/// stack buffer, then [`EvenOddMatrix::apply_line`]. Equivalence baseline
-/// for the blocked fast path.
-pub fn apply_1d_eo_ref<T: Real, const L: usize>(
-    m: &EvenOddMatrix<T>,
-    src: &[Simd<T, L>],
-    dst: &mut [Simd<T, L>],
-    extents_in: [usize; 3],
-    dir: usize,
-    add: bool,
-) {
-    let n_in = m.cols();
-    let n_out = m.rows();
-    debug_assert_eq!(extents_in[dir], n_in);
-    let e_out = extents_after(extents_in, dir, n_out);
-    let s_in = strides(extents_in);
-    let s_out = strides(e_out);
-    let (d1, d2) = line_dims(dir);
-    let mut buf = [Simd::<T, L>::zero(); MAX_N_1D];
-    let mut out = [Simd::<T, L>::zero(); MAX_N_1D];
-    for i2 in 0..extents_in[d2] {
-        for i1 in 0..extents_in[d1] {
-            let base_in = i1 * s_in[d1] + i2 * s_in[d2];
-            let base_out = i1 * s_out[d1] + i2 * s_out[d2];
-            for (i, b) in buf.iter_mut().enumerate().take(n_in) {
-                *b = src[base_in + i * s_in[dir]];
-            }
-            m.apply_line(&buf[..n_in], &mut out[..n_out]);
-            for (q, &o_val) in out.iter().enumerate().take(n_out) {
-                let o = base_out + q * s_out[dir];
-                if add {
-                    dst[o] += o_val;
-                } else {
-                    dst[o] = o_val;
                 }
             }
         }
@@ -520,33 +421,6 @@ mod tests {
     }
 
     #[test]
-    fn even_odd_kernel_matches_dense_kernel() {
-        let s: ShapeInfo1D<f64> = ShapeInfo1D::new(3, NodeSet::Gauss, 5);
-        let e_in = [4usize, 4, 4];
-        let src = rand_tensor(tensor_len(e_in));
-        for dir in 0..3 {
-            let e_out = extents_after(e_in, dir, 5);
-            let mut a = vec![V::zero(); tensor_len(e_out)];
-            let mut b = vec![V::zero(); tensor_len(e_out)];
-            apply_1d(&s.values, &src, &mut a, e_in, dir, false);
-            apply_1d_eo(&s.values_eo, &src, &mut b, e_in, dir, false);
-            for (x, y) in a.iter().zip(&b) {
-                for l in 0..4 {
-                    assert!((x[l] - y[l]).abs() < 1e-12);
-                }
-            }
-            // gradients too
-            apply_1d(&s.gradients, &src, &mut a, e_in, dir, false);
-            apply_1d_eo(&s.gradients_eo, &src, &mut b, e_in, dir, false);
-            for (x, y) in a.iter().zip(&b) {
-                for l in 0..4 {
-                    assert!((x[l] - y[l]).abs() < 1e-12);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn apply_1d_blocked_matches_reference_bitwise() {
         // All directions, rectangular matrices, and run lengths that are
         // not a multiple of CHUNK — the blocked path must agree with the
@@ -573,37 +447,6 @@ mod tests {
                                 b[l].to_bits(),
                                 "n_in={n_in} n_out={n_out} dir={dir} add={add}"
                             );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn apply_1d_eo_blocked_matches_reference_bitwise() {
-        for n in 2..=7usize {
-            let s: ShapeInfo1D<f64> = ShapeInfo1D::new(n - 1, NodeSet::Gauss, n + 1);
-            for m in [&s.values_eo, &s.gradients_eo] {
-                for dir in 0..3 {
-                    let mut e_in = [n + 1, n + 2, n.max(2) - 1];
-                    e_in[dir] = n;
-                    let src = rand_tensor(tensor_len(e_in));
-                    let e_out = extents_after(e_in, dir, m.rows());
-                    for add in [false, true] {
-                        let seed = rand_tensor(tensor_len(e_out));
-                        let mut fast = seed.clone();
-                        let mut refr = seed.clone();
-                        apply_1d_eo(m, &src, &mut fast, e_in, dir, add);
-                        apply_1d_eo_ref(m, &src, &mut refr, e_in, dir, add);
-                        for (a, b) in fast.iter().zip(&refr) {
-                            for l in 0..4 {
-                                assert_eq!(
-                                    a[l].to_bits(),
-                                    b[l].to_bits(),
-                                    "n={n} dir={dir} add={add}"
-                                );
-                            }
                         }
                     }
                 }
